@@ -7,10 +7,11 @@
  * translation through every design level unchanged. E14 quantifies
  * how hard that claim is being tested: the structured fuzz sweep's
  * case rate across the full oracle registry (reference, behavioral
- * array, bit-serial, multipass, word-parallel, gate-level x2,
- * cascade, sharded service x3), the committed regression corpus, and
- * the mutation self-check -- five seeded bugs the harness must catch
- * or the fuzzing proves nothing.
+ * array, bit-serial, multipass, bit-sliced kernel at both tiers,
+ * batch and dictionary layers, gate-level x2, cascade, sharded
+ * service x3), the committed regression corpus, and the mutation
+ * self-check -- six seeded bugs the harness must catch or the fuzzing
+ * proves nothing.
  *
  * Acceptance: the sweep runs clean across all configurations, every
  * corpus case replays clean, and zero mutants survive.
@@ -43,7 +44,7 @@ printReport()
         "Every Matcher realization diffed against the reference on "
         "structured hard-region cases,\nwith per-beat golden traces, "
         "extension cross-checks, a committed corpus, and a\nmutation "
-        "self-check that must catch all five seeded bugs.");
+        "self-check that must catch all six seeded bugs.");
 
     // --- the oracle registry ----------------------------------------
     {

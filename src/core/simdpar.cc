@@ -1,7 +1,6 @@
 #include "core/simdpar.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -20,47 +19,9 @@ namespace
 
 constexpr std::size_t bitsPerWord = 64;
 
-std::size_t
-wordCount(std::size_t n)
-{
-    return (n + bitsPerWord - 1) / bitsPerWord;
-}
-
-/** Smallest bit width that represents @p v (at least 1). */
-unsigned
-widthOf(Symbol v)
-{
-    unsigned b = 1;
-    while ((static_cast<unsigned>(v) >> b) != 0)
-        ++b;
-    return b;
-}
-
-/** OR of all symbols, 4 symbols per 64-bit load. */
-Symbol
-orReduceSymbols(const Symbol *s, std::size_t n)
-{
-    std::uint64_t acc = 0;
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        std::uint64_t v0, v1, v2, v3;
-        std::memcpy(&v0, s + i, 8);
-        std::memcpy(&v1, s + i + 4, 8);
-        std::memcpy(&v2, s + i + 8, 8);
-        std::memcpy(&v3, s + i + 12, 8);
-        acc |= v0 | v1 | v2 | v3;
-    }
-    acc |= (acc >> 32);
-    acc |= (acc >> 16);
-    Symbol out = static_cast<Symbol>(acc);
-    for (; i < n; ++i)
-        out = static_cast<Symbol>(out | s[i]);
-    return out;
-}
-
 // ---------------------------------------------------------------------
 // Portable (scalar) kernel operations. These are also the tail/edge
-// helpers for the SIMD variants, so the vector bodies stay branch-free.
+// helpers for the SSE2 variants, so the vector bodies stay branch-free.
 // ---------------------------------------------------------------------
 
 void
@@ -72,8 +33,7 @@ narrowScalar(const Symbol *s, std::size_t n, std::uint8_t *dst)
 
 void
 transposeBytesScalar(const std::uint8_t *bytes, std::size_t nw,
-                     unsigned planes, std::uint64_t *plane,
-                     std::size_t stride)
+                     unsigned planes, std::uint64_t *plane)
 {
     for (std::size_t w = 0; w < nw; ++w) {
         std::uint64_t acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
@@ -84,15 +44,14 @@ transposeBytesScalar(const std::uint8_t *bytes, std::size_t nw,
                 acc[b] |= static_cast<std::uint64_t>((c >> b) & 1u) << i;
         }
         for (unsigned b = 0; b < planes; ++b)
-            plane[b * stride + w] = acc[b];
+            plane[b * nw + w] = acc[b];
     }
 }
 
 /** Alphabets wider than 8 bits skip the byte narrowing. */
 void
 transposeWideScalar(const Symbol *s, std::size_t n, std::size_t nw,
-                    unsigned planes, std::uint64_t *plane,
-                    std::size_t stride)
+                    unsigned planes, std::uint64_t *plane)
 {
     for (std::size_t w = 0; w < nw; ++w) {
         std::uint64_t acc[16] = {0};
@@ -105,19 +64,19 @@ transposeWideScalar(const Symbol *s, std::size_t n, std::size_t nw,
                 acc[b] |= static_cast<std::uint64_t>((c >> b) & 1u) << i;
         }
         for (unsigned b = 0; b < planes; ++b)
-            plane[b * stride + w] = acc[b];
+            plane[b * nw + w] = acc[b];
     }
 }
 
 void
-eqSweepScalarRange(const std::uint64_t *plane, std::size_t stride,
+eqSweepScalarRange(const std::uint64_t *plane, std::size_t nw,
                    unsigned planes, Symbol c, std::uint64_t *out,
-                   std::size_t wBegin, std::size_t wEnd)
+                   std::size_t wBegin)
 {
-    for (std::size_t w = wBegin; w < wEnd; ++w) {
+    for (std::size_t w = wBegin; w < nw; ++w) {
         std::uint64_t acc = ~std::uint64_t(0);
         for (unsigned b = 0; b < planes; ++b) {
-            const std::uint64_t p = plane[b * stride + w];
+            const std::uint64_t p = plane[b * nw + w];
             acc &= ((c >> b) & 1u) ? p : ~p;
         }
         out[w] = acc;
@@ -125,32 +84,25 @@ eqSweepScalarRange(const std::uint64_t *plane, std::size_t stride,
 }
 
 void
-eqSweepScalar(const std::uint64_t *plane, std::size_t stride,
-              unsigned planes, Symbol c, std::uint64_t *out, std::size_t nw)
+eqSweepScalar(const std::uint64_t *plane, std::size_t nw, unsigned planes,
+              Symbol c, std::uint64_t *out)
 {
-    eqSweepScalarRange(plane, stride, planes, c, out, 0, nw);
+    eqSweepScalarRange(plane, nw, planes, c, out, 0);
 }
 
 void
-shiftAndScalarRange(std::uint64_t *r, const std::uint64_t *m, std::size_t ws,
-                    unsigned bs, std::size_t wBegin, std::size_t wEnd)
+shiftAndScalarRange(std::uint64_t *r, const std::uint64_t *m, std::size_t d,
+                    std::size_t wBegin, std::size_t wEnd)
 {
-    for (std::size_t w = wBegin; w < wEnd; ++w) {
-        std::uint64_t v = 0;
-        if (w >= ws) {
-            v = m[w - ws] << bs;
-            if (bs != 0 && w > ws)
-                v |= m[w - ws - 1] >> (bitsPerWord - bs);
-        }
-        r[w] &= v;
-    }
+    for (std::size_t w = wBegin; w < wEnd; ++w)
+        r[w] &= shiftedWord(m, d, w);
 }
 
 void
 shiftAndScalar(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
-               std::size_t ws, unsigned bs)
+               std::size_t d)
 {
-    shiftAndScalarRange(r, m, ws, bs, 0, nw);
+    shiftAndScalarRange(r, m, d, 0, nw);
 }
 
 // ---------------------------------------------------------------------
@@ -179,7 +131,7 @@ narrowSse2(const Symbol *s, std::size_t n, std::uint8_t *dst)
 
 void
 transposeBytesSse2(const std::uint8_t *bytes, std::size_t nw,
-                   unsigned planes, std::uint64_t *plane, std::size_t stride)
+                   unsigned planes, std::uint64_t *plane)
 {
     for (std::size_t w = 0; w < nw; ++w) {
         const std::uint8_t *blk = bytes + w * bitsPerWord;
@@ -198,7 +150,7 @@ transposeBytesSse2(const std::uint8_t *bytes, std::size_t nw,
                 return static_cast<std::uint32_t>(_mm_movemask_epi8(
                     _mm_cmpeq_epi8(_mm_and_si128(q, bitv), bitv)));
             };
-            plane[b * stride + w] =
+            plane[b * nw + w] =
                 static_cast<std::uint64_t>(lanes(q0)) |
                 (static_cast<std::uint64_t>(lanes(q1)) << 16) |
                 (static_cast<std::uint64_t>(lanes(q2)) << 32) |
@@ -208,8 +160,8 @@ transposeBytesSse2(const std::uint8_t *bytes, std::size_t nw,
 }
 
 void
-eqSweepSse2(const std::uint64_t *plane, std::size_t stride, unsigned planes,
-            Symbol c, std::uint64_t *out, std::size_t nw)
+eqSweepSse2(const std::uint64_t *plane, std::size_t nw, unsigned planes,
+            Symbol c, std::uint64_t *out)
 {
     const __m128i ones = _mm_set1_epi64x(-1);
     std::size_t w = 0;
@@ -217,21 +169,23 @@ eqSweepSse2(const std::uint64_t *plane, std::size_t stride, unsigned planes,
         __m128i acc = ones;
         for (unsigned b = 0; b < planes; ++b) {
             const __m128i p = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(plane + b * stride + w));
+                reinterpret_cast<const __m128i *>(plane + b * nw + w));
             acc = ((c >> b) & 1u) ? _mm_and_si128(acc, p)
                                   : _mm_andnot_si128(p, acc);
         }
         _mm_storeu_si128(reinterpret_cast<__m128i *>(out + w), acc);
     }
-    eqSweepScalarRange(plane, stride, planes, c, out, w, nw);
+    eqSweepScalarRange(plane, nw, planes, c, out, w);
 }
 
 void
 shiftAndSse2(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
-             std::size_t ws, unsigned bs)
+             std::size_t d)
 {
+    const std::size_t ws = d / bitsPerWord;
+    const unsigned bs = static_cast<unsigned>(d % bitsPerWord);
     std::size_t w = std::min(nw, ws + 1);
-    shiftAndScalarRange(r, m, ws, bs, 0, w);
+    shiftAndScalarRange(r, m, d, 0, w);
     if (bs == 0) {
         for (; w + 2 <= nw; w += 2) {
             const __m128i v = _mm_loadu_si128(
@@ -256,109 +210,7 @@ shiftAndSse2(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
                              _mm_and_si128(rv, v));
         }
     }
-    shiftAndScalarRange(r, m, ws, bs, w, nw);
-}
-
-// ---------------------------------------------------------------------
-// AVX2 kernel operations (256-bit planes, 32-char compare + movemask
-// transpose). Compiled with a target attribute so the TU builds on the
-// baseline ISA; only called after __builtin_cpu_supports("avx2").
-// ---------------------------------------------------------------------
-
-__attribute__((target("avx2"))) void
-narrowAvx2(const Symbol *s, std::size_t n, std::uint8_t *dst)
-{
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s + i));
-        const __m256i b = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(s + i + 16));
-        // packus interleaves the two 128-bit lanes; the permute puts
-        // the 32 bytes back in text order.
-        const __m256i p = _mm256_permute4x64_epi64(
-            _mm256_packus_epi16(a, b), 0xD8);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), p);
-    }
-    narrowScalar(s + i, n - i, dst + i);
-}
-
-__attribute__((target("avx2"))) void
-transposeBytesAvx2(const std::uint8_t *bytes, std::size_t nw,
-                   unsigned planes, std::uint64_t *plane, std::size_t stride)
-{
-    for (std::size_t w = 0; w < nw; ++w) {
-        const std::uint8_t *blk = bytes + w * bitsPerWord;
-        const __m256i lo =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(blk));
-        const __m256i hi =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(blk + 32));
-        for (unsigned b = 0; b < planes; ++b) {
-            const __m256i bitv =
-                _mm256_set1_epi8(static_cast<char>(1u << b));
-            const std::uint32_t mLo =
-                static_cast<std::uint32_t>(_mm256_movemask_epi8(
-                    _mm256_cmpeq_epi8(_mm256_and_si256(lo, bitv), bitv)));
-            const std::uint32_t mHi =
-                static_cast<std::uint32_t>(_mm256_movemask_epi8(
-                    _mm256_cmpeq_epi8(_mm256_and_si256(hi, bitv), bitv)));
-            plane[b * stride + w] =
-                static_cast<std::uint64_t>(mLo) |
-                (static_cast<std::uint64_t>(mHi) << 32);
-        }
-    }
-}
-
-__attribute__((target("avx2"))) void
-eqSweepAvx2(const std::uint64_t *plane, std::size_t stride, unsigned planes,
-            Symbol c, std::uint64_t *out, std::size_t nw)
-{
-    const __m256i ones = _mm256_set1_epi64x(-1);
-    std::size_t w = 0;
-    for (; w + 4 <= nw; w += 4) {
-        __m256i acc = ones;
-        for (unsigned b = 0; b < planes; ++b) {
-            const __m256i p = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(plane + b * stride + w));
-            acc = ((c >> b) & 1u) ? _mm256_and_si256(acc, p)
-                                  : _mm256_andnot_si256(p, acc);
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + w), acc);
-    }
-    eqSweepScalarRange(plane, stride, planes, c, out, w, nw);
-}
-
-__attribute__((target("avx2"))) void
-shiftAndAvx2(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
-             std::size_t ws, unsigned bs)
-{
-    std::size_t w = std::min(nw, ws + 1);
-    shiftAndScalarRange(r, m, ws, bs, 0, w);
-    if (bs == 0) {
-        for (; w + 4 <= nw; w += 4) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(m + w - ws));
-            const __m256i rv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(r + w));
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(r + w),
-                                _mm256_and_si256(rv, v));
-        }
-    } else {
-        for (; w + 4 <= nw; w += 4) {
-            const __m256i hi = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(m + w - ws));
-            const __m256i lo = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(m + w - ws - 1));
-            const __m256i v = _mm256_or_si256(
-                _mm256_slli_epi64(hi, static_cast<int>(bs)),
-                _mm256_srli_epi64(lo, static_cast<int>(bitsPerWord - bs)));
-            const __m256i rv = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(r + w));
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(r + w),
-                                _mm256_and_si256(rv, v));
-        }
-    }
-    shiftAndScalarRange(r, m, ws, bs, w, nw);
+    shiftAndScalarRange(r, m, d, w, nw);
 }
 
 #endif // SPM_SIMD_X86
@@ -370,11 +222,11 @@ shiftAndAvx2(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
 struct KernelOps {
     void (*narrow)(const Symbol *, std::size_t, std::uint8_t *);
     void (*transposeBytes)(const std::uint8_t *, std::size_t, unsigned,
-                           std::uint64_t *, std::size_t);
+                           std::uint64_t *);
     void (*eqSweep)(const std::uint64_t *, std::size_t, unsigned, Symbol,
-                    std::uint64_t *, std::size_t);
+                    std::uint64_t *);
     void (*shiftAnd)(std::uint64_t *, const std::uint64_t *, std::size_t,
-                     std::size_t, unsigned);
+                     std::size_t);
 };
 
 constexpr KernelOps scalarOps = {narrowScalar, transposeBytesScalar,
@@ -382,16 +234,12 @@ constexpr KernelOps scalarOps = {narrowScalar, transposeBytesScalar,
 #if SPM_SIMD_X86
 constexpr KernelOps sse2Ops = {narrowSse2, transposeBytesSse2, eqSweepSse2,
                                shiftAndSse2};
-constexpr KernelOps avx2Ops = {narrowAvx2, transposeBytesAvx2, eqSweepAvx2,
-                               shiftAndAvx2};
 #endif
 
 const KernelOps &
 opsFor(SimdIsa isa)
 {
 #if SPM_SIMD_X86
-    if (isa == SimdIsa::Avx2)
-        return avx2Ops;
     if (isa == SimdIsa::Sse2)
         return sse2Ops;
 #endif
@@ -399,77 +247,128 @@ opsFor(SimdIsa isa)
     return scalarOps;
 }
 
-SimdIsa
-detectBest()
-{
-    SimdIsa best = SimdIsa::Scalar;
-    if (simdIsaSupported(SimdIsa::Sse2))
-        best = SimdIsa::Sse2;
-    if (simdIsaSupported(SimdIsa::Avx2))
-        best = SimdIsa::Avx2;
-    if (const char *env = std::getenv("SPM_SIMD_ISA")) {
-        const std::string cap(env);
-        SimdIsa capped = best;
-        if (cap == "scalar")
-            capped = SimdIsa::Scalar;
-        else if (cap == "sse2")
-            capped = SimdIsa::Sse2;
-        else if (cap == "avx2")
-            capped = SimdIsa::Avx2;
-        if (static_cast<unsigned>(capped) < static_cast<unsigned>(best))
-            best = capped;
-    }
-    return best;
-}
-
 } // namespace
 
 const char *
 simdIsaName(SimdIsa isa)
 {
-    switch (isa) {
-    case SimdIsa::Sse2:
-        return "sse2";
-    case SimdIsa::Avx2:
-        return "avx2";
-    case SimdIsa::Scalar:
-        break;
-    }
-    return "scalar";
+    return isa == SimdIsa::Sse2 ? "sse2" : "scalar";
 }
 
 bool
 simdIsaSupported(SimdIsa isa)
 {
-    switch (isa) {
-    case SimdIsa::Scalar:
-        return true;
-    case SimdIsa::Sse2:
-        return SPM_SIMD_X86 != 0;
-    case SimdIsa::Avx2:
-#if SPM_SIMD_X86
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-    }
-    return false;
+    return isa == SimdIsa::Scalar || SPM_SIMD_X86 != 0;
 }
 
 SimdIsa
 bestSimdIsa()
 {
-    static const SimdIsa best = detectBest();
-    return best;
+    return simdIsaSupported(SimdIsa::Sse2) ? SimdIsa::Sse2
+                                           : SimdIsa::Scalar;
+}
+
+std::size_t
+packedWords(std::size_t n)
+{
+    return (n + bitsPerWord - 1) / bitsPerWord;
+}
+
+unsigned
+symbolWidth(Symbol v)
+{
+    unsigned b = 1;
+    while ((static_cast<unsigned>(v) >> b) != 0)
+        ++b;
+    return b;
+}
+
+Symbol
+orSymbols(const Symbol *s, std::size_t n)
+{
+    // Four symbols per 64-bit load.
+    std::uint64_t acc = 0;
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        std::uint64_t v0, v1, v2, v3;
+        std::memcpy(&v0, s + i, 8);
+        std::memcpy(&v1, s + i + 4, 8);
+        std::memcpy(&v2, s + i + 8, 8);
+        std::memcpy(&v3, s + i + 12, 8);
+        acc |= v0 | v1 | v2 | v3;
+    }
+    acc |= (acc >> 32);
+    acc |= (acc >> 16);
+    Symbol out = static_cast<Symbol>(acc);
+    for (; i < n; ++i)
+        out = static_cast<Symbol>(out | s[i]);
+    return out;
+}
+
+void
+BitPlanes::build(const Symbol *text, std::size_t n, unsigned planes,
+                 SimdIsa tier)
+{
+    isa = tier;
+    nw = packedWords(n);
+    np = planes;
+    if (arena.size() < static_cast<std::size_t>(planes) * nw)
+        arena.resize(static_cast<std::size_t>(planes) * nw);
+    if (planes > 8) {
+        transposeWideScalar(text, n, nw, planes, arena.data());
+        return;
+    }
+    // The pad up to the word boundary is zeroed, so pad positions
+    // read as character 0; callers mask their result bits off.
+    const KernelOps &ops = opsFor(isa);
+    if (byteText.size() < nw * bitsPerWord)
+        byteText.resize(nw * bitsPerWord);
+    ops.narrow(text, n, byteText.data());
+    std::fill(byteText.begin() + static_cast<std::ptrdiff_t>(n),
+              byteText.begin() + static_cast<std::ptrdiff_t>(nw * bitsPerWord),
+              std::uint8_t(0));
+    ops.transposeBytes(byteText.data(), nw, planes, arena.data());
+}
+
+void
+BitPlanes::eqMask(Symbol c, std::uint64_t *out) const
+{
+    opsFor(isa).eqSweep(arena.data(), nw, np, c, out);
+}
+
+std::size_t
+BitPlanes::arenaBytes() const
+{
+    return byteText.capacity() * sizeof(std::uint8_t) +
+           arena.capacity() * sizeof(std::uint64_t);
+}
+
+void
+shiftAnd(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
+         std::size_t d, SimdIsa isa)
+{
+    opsFor(isa).shiftAnd(r, m, nw, d);
+}
+
+void
+maskLeadSlack(std::uint64_t *row, std::size_t nw, std::size_t k,
+              std::size_t n)
+{
+    const std::size_t lead = k - 1;
+    for (std::size_t w = 0; w < lead / bitsPerWord && w < nw; ++w)
+        row[w] = 0;
+    if (lead / bitsPerWord < nw && lead % bitsPerWord != 0)
+        row[lead / bitsPerWord] &= ~std::uint64_t(0) << (lead % bitsPerWord);
+    if (n % bitsPerWord != 0)
+        row[nw - 1] &= ~std::uint64_t(0) >> (bitsPerWord - n % bitsPerWord);
 }
 
 SimdParallelMatcher::SimdParallelMatcher() : tier(bestSimdIsa()) {}
 
 SimdParallelMatcher::SimdParallelMatcher(SimdIsa forced)
-    : tier(forced), forcedTier(true)
+    : tier(simdIsaSupported(forced) ? forced : SimdIsa::Scalar),
+      forcedTier(true)
 {
-    while (!simdIsaSupported(tier))
-        tier = (tier == SimdIsa::Avx2) ? SimdIsa::Sse2 : SimdIsa::Scalar;
 }
 
 std::string
@@ -486,7 +385,7 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
 {
     const std::size_t n = text.size();
     const std::size_t k = pattern.size();
-    const std::size_t nw = wordCount(n);
+    const std::size_t nw = packedWords(n);
     wordOps = 0;
     planesBuilt = 0;
     usedShortPath = false;
@@ -497,34 +396,13 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
 
     // The planes must cover every bit that can distinguish a text
     // character from a pattern character.
-    Symbol seen = orReduceSymbols(text.data(), n);
+    Symbol seen = orSymbols(text.data(), n);
     for (Symbol c : pattern)
         if (c != wildcardSymbol)
             seen = static_cast<Symbol>(seen | c);
-    const unsigned planes = widthOf(seen);
+    const unsigned planes = symbolWidth(seen);
     planesBuilt = planes;
-    const KernelOps &ops = opsFor(tier);
-
-    // Transpose into bit planes. Alphabets of at most 8 bits narrow
-    // to bytes first so the transpose runs compare + movemask, 16 or
-    // 32 characters per instruction; the pad up to the word boundary
-    // is zeroed and its result bits are masked off below.
-    if (planeArena.size() < static_cast<std::size_t>(planes) * nw)
-        planeArena.resize(static_cast<std::size_t>(planes) * nw);
-    if (planes <= 8) {
-        if (byteText.size() < nw * bitsPerWord)
-            byteText.resize(nw * bitsPerWord);
-        ops.narrow(text.data(), n, byteText.data());
-        std::fill(byteText.begin() + static_cast<std::ptrdiff_t>(n),
-                  byteText.begin() +
-                      static_cast<std::ptrdiff_t>(nw * bitsPerWord),
-                  std::uint8_t(0));
-        ops.transposeBytes(byteText.data(), nw, planes, planeArena.data(),
-                           nw);
-    } else {
-        transposeWideScalar(text.data(), n, nw, planes, planeArena.data(),
-                            nw);
-    }
+    planeArena.build(text.data(), n, planes, tier);
     wordOps += static_cast<std::uint64_t>(planes) * nw;
 
     if (k <= bitsPerWord) {
@@ -555,7 +433,7 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
             ++nPos;
         }
         std::uint64_t prevEq[bitsPerWord] = {0};
-        const std::uint64_t *pl = planeArena.data();
+        const std::uint64_t *pl = planeArena.plane(0);
         for (std::size_t w = 0; w < nw; ++w) {
             std::uint64_t acc = ~std::uint64_t(0);
             std::size_t idx = 0;
@@ -587,9 +465,9 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
         wordOps += nw * (static_cast<std::uint64_t>(nGroups) * planes +
                          nPos);
     } else {
-        // Long patterns keep the wordpar organization -- equality
-        // masks cached per distinct symbol, one shifted AND sweep per
-        // non-wild pattern position -- with the sweeps vectorized.
+        // Long patterns: equality masks cached per distinct symbol,
+        // then one vectorized shifted-AND sweep per non-wild pattern
+        // position.
         std::fill(result.begin(), result.end(), ~std::uint64_t(0));
         eqIndex.clear();
         for (Symbol c : pattern) {
@@ -607,8 +485,7 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
         if (eqArena.size() < eqIndex.size() * nw)
             eqArena.resize(eqIndex.size() * nw);
         for (const auto &e : eqIndex) {
-            ops.eqSweep(planeArena.data(), nw, planes, e.first,
-                        eqArena.data() + e.second, nw);
+            planeArena.eqMask(e.first, eqArena.data() + e.second);
             wordOps += static_cast<std::uint64_t>(planes) * nw;
         }
         for (std::size_t j = 0; j < k; ++j) {
@@ -621,24 +498,12 @@ SimdParallelMatcher::matchPacked(const std::vector<Symbol> &text,
                     m = eqArena.data() + e.second;
                     break;
                 }
-            const std::size_t s = (k - 1) - j;
-            ops.shiftAnd(result.data(), m, nw, s / bitsPerWord,
-                         static_cast<unsigned>(s % bitsPerWord));
+            shiftAnd(result.data(), m, nw, (k - 1) - j, tier);
             wordOps += nw;
         }
     }
 
-    // Positions with incomplete substrings (i < k-1) are 0 by
-    // definition, as is the slack past the text in the last word.
-    const std::size_t lead = k - 1;
-    for (std::size_t w = 0; w < lead / bitsPerWord && w < nw; ++w)
-        result[w] = 0;
-    if (lead / bitsPerWord < nw && lead % bitsPerWord != 0)
-        result[lead / bitsPerWord] &= ~std::uint64_t(0)
-                                      << (lead % bitsPerWord);
-    if (n % bitsPerWord != 0)
-        result[nw - 1] &=
-            ~std::uint64_t(0) >> (bitsPerWord - n % bitsPerWord);
+    maskLeadSlack(result.data(), nw, k, n);
     return result;
 }
 
@@ -646,24 +511,23 @@ std::vector<bool>
 SimdParallelMatcher::match(const std::vector<Symbol> &text,
                            const std::vector<Symbol> &pattern)
 {
-    return unpackResultBits(matchPacked(text, pattern), text.size());
+    return unpackResultBits(matchPacked(text, pattern).data(), text.size());
 }
 
 std::size_t
 SimdParallelMatcher::arenaBytes() const
 {
-    return byteText.capacity() * sizeof(std::uint8_t) +
-           (planeArena.capacity() + eqArena.capacity() +
-            result.capacity()) *
-               sizeof(std::uint64_t) +
+    return planeArena.arenaBytes() +
+           (eqArena.capacity() + result.capacity()) * sizeof(std::uint64_t) +
            eqIndex.capacity() * sizeof(eqIndex[0]);
 }
 
 std::vector<bool>
-unpackResultBits(const std::vector<std::uint64_t> &packed, std::size_t n)
+unpackResultBits(const std::uint64_t *packed, std::size_t n)
 {
     std::vector<bool> out(n, false);
-    for (std::size_t w = 0; w < packed.size(); ++w) {
+    const std::size_t nw = packedWords(n);
+    for (std::size_t w = 0; w < nw; ++w) {
         std::uint64_t word = packed[w];
         const std::size_t base = w * bitsPerWord;
         while (word != 0) {

@@ -1,16 +1,27 @@
 /**
  * @file
- * The SIMD-widened bit-sliced matcher kernel.
+ * The bit-sliced matcher kernel, and the plane helpers every
+ * bit-sliced realization in the repo shares.
  *
- * src/core/wordpar realizes the paper's one-result-bit-per-character
- * claim at 64 positions per machine word; this kernel widens the same
- * bit-sliced recurrences to 128-bit (SSE2) and 256-bit (AVX2)
- * registers, in the spirit of the packed short-pattern matchers of
- * Faro & Kulekci ("Fast Packed String Matching for Short Patterns").
- * Three things separate it from the word-parallel kernel:
+ * The chip's whole argument is one result bit per text character per
+ * beat (Section 3.1); this kernel is the software counterpart that
+ * sustains that rate on a modern word machine. The text is transposed
+ * into bit planes -- plane b holds bit b of 64 consecutive characters
+ * per machine word, the bit-serial organization of Section 3.3.2
+ * turned sideways -- and every pattern position is then applied with
+ * Shift-And-style word recurrences:
+ *
+ *     eq(c)[i] = AND_b (plane_b[i] == bit b of c)      (XNOR + AND)
+ *     r[i]     = AND_j eq(p_j)[i - (k-1) + j]          (shift + AND)
+ *
+ * so one 64-bit AND evaluates 64 text positions at once, in the
+ * spirit of the packed short-pattern matchers of Faro & Kulekci
+ * ("Fast Packed String Matching for Short Patterns"). Wild cards cost
+ * nothing: their factor is all-ones and is skipped. Three things make
+ * it fast:
  *
  *   transpose   for alphabets of at most 8 bits the text is narrowed
- *               to bytes and transposed with compare + movemask, 32
+ *               to bytes and transposed with compare + movemask, 16
  *               characters per instruction, instead of one character
  *               per loop iteration;
  *   recurrence  patterns with k <= 64 (one result word of history)
@@ -18,22 +29,26 @@
  *               is read once and all pattern-position factors are
  *               combined in registers, instead of one sweep over the
  *               result stream per pattern position. Longer patterns
- *               use SIMD sweeps over the equality masks;
+ *               use vector sweeps over the equality masks;
  *   arena       all scratch (byte text, planes, equality masks, the
  *               packed result) lives in a reusable member arena, so
  *               steady-state match() calls allocate nothing.
  *
- * Instruction sets are selected at runtime (AVX2 when the CPU has it,
- * else SSE2 on x86-64, else portable uint64), and every variant is
- * bit-identical to core::ReferenceMatcher -- the conformance registry
- * carries the best-ISA kernel and the forced-down variants as
- * separate oracles. The SPM_SIMD_ISA environment variable ("scalar",
- * "sse2", "avx2") caps the auto-detected choice for A/B runs.
+ * Two tiers exist: portable uint64 and SSE2 (128-bit planes, the
+ * x86-64 baseline), selected at runtime. Every tier is bit-identical
+ * to core::ReferenceMatcher -- the conformance registry carries the
+ * best-tier kernel and the forced scalar tier as separate oracles.
+ *
+ * The plane helpers below (BitPlanes, shiftedWord, shiftAnd,
+ * maskLeadSlack) are the same code the kernel runs; the multi-pattern
+ * dictionary sweep (multipattern/planes.hh) builds on them instead of
+ * carrying its own transpose and masks.
  */
 
 #ifndef SPM_CORE_SIMDPAR_HH
 #define SPM_CORE_SIMDPAR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,30 +60,103 @@ namespace spm::core
 /** Instruction-set tier the kernel dispatch can select. */
 enum class SimdIsa : unsigned char
 {
-    Scalar, ///< portable uint64 ops (the wordpar organization)
+    Scalar, ///< portable uint64 ops
     Sse2,   ///< 128-bit planes
-    Avx2,   ///< 256-bit planes
 };
 
-/** Printable name ("scalar", "sse2", "avx2"). */
+/** Printable name ("scalar", "sse2"). */
 const char *simdIsaName(SimdIsa isa);
 
-/**
- * The best tier this process may use: CPU detection capped by the
- * SPM_SIMD_ISA environment variable. Computed once, then cached.
- */
+/** The best tier this CPU supports. */
 SimdIsa bestSimdIsa();
 
 /** Whether @p isa is executable on this CPU. */
 bool simdIsaSupported(SimdIsa isa);
 
+/** Packed words needed for @p n text positions, 64 per word. */
+std::size_t packedWords(std::size_t n);
+
+/** Smallest bit width that represents @p v (at least 1). */
+unsigned symbolWidth(Symbol v);
+
+/** OR of @p n symbols: the bits any plane must cover. */
+Symbol orSymbols(const Symbol *s, std::size_t n);
+
 /**
- * SIMD evaluation of the Section 3.1 problem.
+ * The text transposed into bit planes: plane b word w bit i is bit b
+ * of character 64 w + i, zero past the end of the text. The arena is
+ * reused across build() calls, so steady-state rebuilds allocate
+ * nothing.
+ */
+class BitPlanes
+{
+  public:
+    /**
+     * Transpose @p n characters of @p text into @p planes planes on
+     * tier @p isa. Alphabets of at most 8 bits are narrowed to bytes
+     * first (the SSE2 tier then transposes 16 characters per
+     * instruction); wider ones go one character at a time.
+     */
+    void build(const Symbol *text, std::size_t n, unsigned planes,
+               SimdIsa isa);
+
+    /** Plane @p b: packedWords(n) words, consecutive planes adjacent. */
+    const std::uint64_t *plane(unsigned b) const
+    {
+        return arena.data() + static_cast<std::size_t>(b) * nw;
+    }
+
+    /** out[w] = AND_b (plane_b[w] == bit b of @p c), for every word. */
+    void eqMask(Symbol c, std::uint64_t *out) const;
+
+    /** Scratch footprint in bytes. */
+    std::size_t arenaBytes() const;
+
+  private:
+    SimdIsa isa = SimdIsa::Scalar;
+    std::size_t nw = 0;
+    unsigned np = 0;
+    std::vector<std::uint8_t> byteText; ///< narrowed text, padded
+    std::vector<std::uint64_t> arena;   ///< np x nw, flat
+};
+
+/**
+ * Word @p w of the mask @p eq shifted up by @p d text positions (the
+ * end-offset factor of the AND recurrence); bits shifted in from
+ * before the text are 0.
+ */
+inline std::uint64_t
+shiftedWord(const std::uint64_t *eq, std::size_t d, std::size_t w)
+{
+    const std::size_t ws = d / 64;
+    const unsigned bs = static_cast<unsigned>(d % 64);
+    if (w < ws)
+        return 0;
+    std::uint64_t v = eq[w - ws] << bs;
+    if (bs != 0 && w > ws)
+        v |= eq[w - ws - 1] >> (64 - bs);
+    return v;
+}
+
+/** r[w] &= shiftedWord(m, d, w) for every word w < @p nw, on @p isa. */
+void shiftAnd(std::uint64_t *r, const std::uint64_t *m, std::size_t nw,
+              std::size_t d, SimdIsa isa);
+
+/**
+ * Clear the bits no match can set in a packed row of a k-character
+ * pattern over an n-character text: the incomplete windows i < k-1
+ * and the slack past the text in the last word.
+ */
+void maskLeadSlack(std::uint64_t *row, std::size_t nw, std::size_t k,
+                   std::size_t n);
+
+/**
+ * Bit-sliced evaluation of the Section 3.1 problem.
  *
  * Stateless between calls apart from the scratch arena, so one
- * instance serves requests of any shape -- but, exactly like
- * WordParallelMatcher, not from two threads concurrently; the sharded
- * service and the batch front end give each worker its own instance.
+ * instance serves requests of any shape -- but not from two threads
+ * concurrently; the sharded service and the batch front end give each
+ * worker its own instance.
  */
 class SimdParallelMatcher : public Matcher
 {
@@ -91,8 +179,9 @@ class SimdParallelMatcher : public Matcher
 
     /**
      * The kernel proper: the packed result stream, 64 text positions
-     * per word, word w bit i corresponding to text position 64 w + i;
-     * same contract as WordParallelMatcher::matchPacked. The returned
+     * per word, word w bit i corresponding to text position 64 w + i.
+     * Bits for incomplete substrings (i < k-1) are 0, as are the
+     * unused bits past the text length in the last word. The returned
      * reference points into the arena and is valid until the next
      * call on this instance.
      */
@@ -120,9 +209,8 @@ class SimdParallelMatcher : public Matcher
     bool forcedTier = false;
 
     // --- the scratch arena (reused across calls) ---------------------
-    std::vector<std::uint8_t> byteText;    ///< narrowed text, padded
-    std::vector<std::uint64_t> planeArena; ///< planesBuilt x nw, flat
-    std::vector<std::uint64_t> eqArena;    ///< equality masks, flat
+    BitPlanes planeArena;
+    std::vector<std::uint64_t> eqArena; ///< equality masks, flat
     std::vector<std::pair<Symbol, std::size_t>> eqIndex;
     std::vector<std::uint64_t> result;  ///< packed result words
 
@@ -132,11 +220,12 @@ class SimdParallelMatcher : public Matcher
 };
 
 /**
- * Expand a packed result stream (64 positions per word) into the
+ * Expand the packed result stream of an @p n-character text
+ * (packedWords(n) words at @p packed, slack bits clear) into the
  * Matcher-interface bit vector. Sparse-aware: words are scanned with
  * count-trailing-zeros, so the cost is O(words + matches), not O(n).
  */
-std::vector<bool> unpackResultBits(const std::vector<std::uint64_t> &packed,
+std::vector<bool> unpackResultBits(const std::uint64_t *packed,
                                    std::size_t n);
 
 } // namespace spm::core

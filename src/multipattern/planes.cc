@@ -11,55 +11,9 @@ namespace spm::multipattern
 namespace
 {
 
-constexpr std::size_t bitsPerWord = 64;
 constexpr std::uint32_t wildClass = 0xFFFFFFFFu;
 constexpr std::uint32_t rootNode = 0xFFFFFFFFu;
 constexpr std::uint32_t noTerm = 0xFFFFFFFFu;
-
-std::size_t
-wordCount(std::size_t n)
-{
-    return (n + bitsPerWord - 1) / bitsPerWord;
-}
-
-/** Smallest bit width that represents @p v (at least 1). */
-unsigned
-widthOf(Symbol v)
-{
-    unsigned b = 1;
-    while ((static_cast<unsigned>(v) >> b) != 0)
-        ++b;
-    return b;
-}
-
-/** Word @p w of eq shifted up by @p d positions (the end-offset
- *  factor from wordpar's AND recurrence). */
-std::uint64_t
-shiftedWord(const std::uint64_t *eq, std::size_t d, std::size_t w)
-{
-    const std::size_t ws = d / bitsPerWord;
-    const unsigned bs = static_cast<unsigned>(d % bitsPerWord);
-    if (w < ws)
-        return 0;
-    std::uint64_t v = eq[w - ws] << bs;
-    if (bs != 0 && w > ws)
-        v |= eq[w - ws - 1] >> (bitsPerWord - bs);
-    return v;
-}
-
-/** Clear the always-false lead (i < k-1) and the slack past the text
- *  in a packed row. */
-void
-maskRow(std::uint64_t *row, std::size_t nw, std::size_t k, std::size_t n)
-{
-    const std::size_t lead = k - 1;
-    for (std::size_t w = 0; w < lead / bitsPerWord && w < nw; ++w)
-        row[w] = 0;
-    if (lead / bitsPerWord < nw && lead % bitsPerWord != 0)
-        row[lead / bitsPerWord] &= ~std::uint64_t(0) << (lead % bitsPerWord);
-    if (n % bitsPerWord != 0)
-        row[nw - 1] &= ~std::uint64_t(0) >> (bitsPerWord - n % bitsPerWord);
-}
 
 } // namespace
 
@@ -68,7 +22,7 @@ BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
                                const DictPatterns &dict)
 {
     const std::size_t n = text.size();
-    const std::size_t nw = wordCount(n);
+    const std::size_t nw = core::packedWords(n);
     const std::size_t p = dict.size();
 
     planesBuilt = 0;
@@ -85,45 +39,19 @@ BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
     if (n == 0 || p == 0)
         return hits;
 
-    // One transpose covers every pattern: plane[b] bit i = bit b of
-    // s_i, exactly the wordpar layout.
-    Symbol seen = 0;
-    for (Symbol c : text)
-        seen = static_cast<Symbol>(seen | c);
+    // One transpose covers every pattern, on the same plane code the
+    // single-pattern kernel runs.
+    Symbol seen = core::orSymbols(text.data(), n);
     for (const auto &member : dict)
         for (Symbol c : member)
             if (c != wildcardSymbol)
                 seen = static_cast<Symbol>(seen | c);
-    const unsigned planes = widthOf(seen);
+    const unsigned planes = core::symbolWidth(seen);
     planesBuilt = planes;
-
-    const std::size_t planeWords = static_cast<std::size_t>(planes) * nw;
-    if (planeArena.size() < planeWords)
-        planeArena.resize(planeWords);
-    std::fill(planeArena.begin(),
-              planeArena.begin() + static_cast<std::ptrdiff_t>(planeWords),
-              0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Symbol c = text[i];
-        const std::size_t w = i / bitsPerWord;
-        const std::uint64_t bit = std::uint64_t(1) << (i % bitsPerWord);
-        for (unsigned b = 0; b < planes; ++b)
-            if ((c >> b) & 1u)
-                planeArena[b * nw + w] |= bit;
-    }
+    planeArena.build(text.data(), n, planes, tier);
 
     auto buildEqInto = [&](Symbol c, std::uint64_t *m) {
-        std::fill(m, m + nw, ~std::uint64_t(0));
-        for (unsigned b = 0; b < planes; ++b) {
-            const std::uint64_t *pl = planeArena.data() + b * nw;
-            if ((c >> b) & 1u) {
-                for (std::size_t w = 0; w < nw; ++w)
-                    m[w] &= pl[w];
-            } else {
-                for (std::size_t w = 0; w < nw; ++w)
-                    m[w] &= ~pl[w];
-            }
-        }
+        planeArena.eqMask(c, m);
         ++eqBuilt;
         wordOps += static_cast<std::uint64_t>(planes) * nw;
     };
@@ -134,7 +62,7 @@ BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
               rowArena.begin() + static_cast<std::ptrdiff_t>(p * nw), 0);
 
     if (!dedup) {
-        // Ablation variant: every pattern runs its own wordpar-style
+        // Ablation variant: every pattern runs its own single-pattern
         // AND chain with its own equality masks -- p independent
         // scans sharing only the transpose.  Must produce the exact
         // hit set of the deduplicated sweep; only the cost differs.
@@ -166,13 +94,11 @@ BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
                     buildEqInto(c, eqArena.data() + off);
                     eqIndex.emplace_back(c, off);
                 }
-                const std::uint64_t *m = eqArena.data() + off;
-                const std::size_t d = (k - 1) - j;
-                for (std::size_t w = 0; w < nw; ++w)
-                    row[w] &= shiftedWord(m, d, w);
+                core::shiftAnd(row, eqArena.data() + off, nw, (k - 1) - j,
+                               tier);
                 wordOps += nw;
             }
-            maskRow(row, nw, k, n);
+            core::maskLeadSlack(row, nw, k, n);
             ++sweeps;
         }
     } else {
@@ -250,17 +176,15 @@ BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
             for (std::size_t w = 0; w < nw; ++w) {
                 for (std::size_t v = 0; v < trie.size(); ++v) {
                     const TrieNode &node = trie[v];
-                    const std::uint64_t up = node.parent == rootNode
-                                                 ? ~std::uint64_t(0)
-                                                 : valArena[node.parent];
-                    valArena[v] =
-                        node.classId == wildClass
-                            ? up
-                            : up & shiftedWord(eqArena.data() +
-                                                   static_cast<std::size_t>(
-                                                       node.classId) *
-                                                       nw,
-                                               node.offset, w);
+                    std::uint64_t val = node.parent == rootNode
+                                            ? ~std::uint64_t(0)
+                                            : valArena[node.parent];
+                    if (node.classId != wildClass)
+                        val &= core::shiftedWord(
+                            eqArena.data() +
+                                static_cast<std::size_t>(node.classId) * nw,
+                            node.offset, w);
+                    valArena[v] = val;
                 }
                 for (std::size_t pi = g0; pi < g1; ++pi)
                     if (termNode[pi] != noTerm)
@@ -271,22 +195,21 @@ BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
 
         for (std::size_t pi = 0; pi < p; ++pi)
             if (termNode[pi] != noTerm)
-                maskRow(rowArena.data() + pi * nw, nw, dict[pi].size(), n);
+                core::maskLeadSlack(rowArena.data() + pi * nw, nw,
+                                    dict[pi].size(), n);
     }
 
-    for (std::size_t pi = 0; pi < p; ++pi) {
-        const std::uint64_t *row = rowArena.data() + pi * nw;
-        std::vector<std::uint64_t> packed(row, row + nw);
-        hits.bits[pi] = core::unpackResultBits(packed, n);
-    }
+    for (std::size_t pi = 0; pi < p; ++pi)
+        hits.bits[pi] = core::unpackResultBits(rowArena.data() + pi * nw, n);
     return hits;
 }
 
 std::size_t
 BitSlicedDictMatcher::arenaBytes() const
 {
-    return (planeArena.capacity() + eqArena.capacity() +
-            rowArena.capacity() + valArena.capacity()) *
+    return planeArena.arenaBytes() +
+           (eqArena.capacity() + rowArena.capacity() +
+            valArena.capacity()) *
                sizeof(std::uint64_t) +
            eqIndex.capacity() * sizeof(eqIndex[0]) +
            trie.capacity() * sizeof(trie[0]) +

@@ -1,7 +1,7 @@
 #pragma once
 /**
- * Bit-sliced multi-pattern realization on the word-parallel kernel
- * organization (core/wordpar.hh): the text is transposed into bit
+ * Bit-sliced multi-pattern realization on the single-pattern kernel's
+ * plane code (core/simdpar.hh): the text is transposed into bit
  * planes once, equality masks are built once per distinct character
  * class, and the per-pattern AND chains are fused through a reversed
  * (suffix) trie so dictionaries sharing suffix structure cost less
@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/simdpar.hh"
 #include "multipattern/dict.hh"
 #include "util/types.hh"
 
@@ -69,6 +70,7 @@ class BitSlicedDictMatcher final : public DictMatcher
     };
 
     const bool dedup;
+    const core::SimdIsa tier = core::bestSimdIsa();
 
     unsigned planesBuilt = 0;
     std::size_t eqBuilt = 0;
@@ -77,8 +79,8 @@ class BitSlicedDictMatcher final : public DictMatcher
     std::size_t sweeps = 0;
     std::uint64_t wordOps = 0;
 
-    // Arenas reused across calls, wordpar-style.
-    std::vector<std::uint64_t> planeArena;
+    // Arenas reused across calls.
+    core::BitPlanes planeArena;
     std::vector<std::uint64_t> eqArena;
     std::vector<std::pair<Symbol, std::size_t>> eqIndex;
     std::vector<std::uint64_t> rowArena;

@@ -315,7 +315,7 @@ TEST(Harness, FailureReportCarriesReplayableIds)
     oracles.push_back(
         Oracle{std::make_unique<core::ReferenceMatcher>()});
     for (const Mutant &m : allMutants()) {
-        if (m.name != "mut-wordpar-wildplane")
+        if (m.name != "mut-bitslice-wildplane")
             continue;
         oracles.push_back(Oracle{m.make()});
     }
@@ -355,20 +355,19 @@ TEST(Mutation, SelfCheckCatchesEverySeededBug)
 TEST(Oracles, RegistryNamesEveryImplementation)
 {
     const std::vector<std::string> names = allOracleNames(true);
-    // 9 base implementations (sharded x3 = 11 configurations), plus
-    // the SIMD kernel at the best tier and every supported tier below
-    // it, plus three batch pack shapes, plus four dictionary shapes.
-    std::size_t below_best = 0;
-    for (const core::SimdIsa isa :
-         {core::SimdIsa::Scalar, core::SimdIsa::Sse2})
-        if (core::simdIsaSupported(isa) && isa < core::bestSimdIsa())
-            ++below_best;
-    EXPECT_EQ(names.size(), 11u + 1u + below_best + 3u + 4u);
+    // 8 base implementations (sharded x3 = 10 configurations), plus
+    // the bit-sliced kernel at the best tier and, when that is not
+    // the scalar tier, the forced scalar tier, plus three batch pack
+    // shapes, plus four dictionary shapes.
+    const bool scalar_forced =
+        core::bestSimdIsa() != core::SimdIsa::Scalar;
+    EXPECT_EQ(names.size(), 10u + 1u + (scalar_forced ? 1u : 0u) + 3u + 4u);
     EXPECT_EQ(names.front(), "reference");
     const auto has = [&](const std::string &n) {
         return std::find(names.begin(), names.end(), n) != names.end();
     };
     EXPECT_TRUE(has("simd-parallel"));
+    EXPECT_EQ(has("simd-parallel-scalar"), scalar_forced);
     EXPECT_TRUE(has("batch-w3"));
     EXPECT_TRUE(has("batch-w64"));
     EXPECT_TRUE(has("batch-w3-chunk7"));

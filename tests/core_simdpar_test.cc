@@ -1,11 +1,11 @@
 /**
  * @file
- * Property tests for the SIMD-widened bit-sliced matcher: every
- * supported tier bit-identical to the reference across pattern
- * lengths 1..64 (the fused short path) and beyond (the sweep path),
- * wildcard densities and alphabet widths, plus the arena-reuse and
- * forced-tier dispatch invariants the batch layer and the benches
- * rely on.
+ * Property tests for the bit-sliced matcher: every supported tier
+ * bit-identical to the reference across pattern lengths 1..64 (the
+ * fused short path) and beyond (the sweep path), wildcard densities
+ * and alphabet widths, plus the packed-word, effort, arena-reuse and
+ * forced-tier dispatch invariants the sharded service, the batch
+ * layer and the benches rely on.
  */
 
 #include <gtest/gtest.h>
@@ -25,8 +25,6 @@ supportedTiers()
     std::vector<SimdIsa> tiers{SimdIsa::Scalar};
     if (simdIsaSupported(SimdIsa::Sse2))
         tiers.push_back(SimdIsa::Sse2);
-    if (simdIsaSupported(SimdIsa::Avx2))
-        tiers.push_back(SimdIsa::Avx2);
     return tiers;
 }
 
@@ -63,6 +61,16 @@ TEST(SimdParallel, EveryTierEveryShortLengthMatchesReference)
                 << w.caseId;
             EXPECT_TRUE(sp.lastShortPath()) << "k=" << k;
         }
+        // All-wildcard patterns match every full window, on both the
+        // short and the sweep path.
+        const auto text =
+            test::makeShapedWorkload(0xA11, 2, 150, 5, 0).text;
+        for (const std::size_t k :
+             {std::size_t(1), std::size_t(5), std::size_t(70)}) {
+            const std::vector<Symbol> pattern(k, wildcardSymbol);
+            EXPECT_EQ(sp.match(text, pattern), ref.match(text, pattern))
+                << simdIsaName(isa) << " all-wild k=" << k;
+        }
     }
 }
 
@@ -72,15 +80,22 @@ TEST(SimdParallel, LongPatternsTakeTheSweepPath)
     for (const SimdIsa isa : supportedTiers()) {
         SimdParallelMatcher sp(isa);
         for (const std::size_t k :
-             {std::size_t(65), std::size_t(96), std::size_t(130),
-              std::size_t(257)}) {
-            const auto w = test::makeShapedWorkload(0x10C0 + k, 3,
-                                                    600 + 2 * k, k, 15);
-            EXPECT_EQ(sp.match(w.text, w.pattern),
-                      ref.match(w.text, w.pattern))
-                << simdIsaName(isa) << " k=" << k << " case "
-                << w.caseId;
-            EXPECT_FALSE(sp.lastShortPath()) << "k=" << k;
+             {std::size_t(65), std::size_t(96), std::size_t(100),
+              std::size_t(130), std::size_t(257)}) {
+            // A 3-bit alphabet with sparse wild cards, and a 2-bit one
+            // with dense wild cards on a text barely three patterns
+            // long.
+            for (const auto &w :
+                 {test::makeShapedWorkload(0x10C0 + k, 3, 600 + 2 * k, k,
+                                           15),
+                  test::makeShapedWorkload(0x10AD + k, 2, k * 3 + 17, k,
+                                           25)}) {
+                EXPECT_EQ(sp.match(w.text, w.pattern),
+                          ref.match(w.text, w.pattern))
+                    << simdIsaName(isa) << " k=" << k << " case "
+                    << w.caseId;
+                EXPECT_FALSE(sp.lastShortPath()) << "k=" << k;
+            }
         }
     }
 }
@@ -139,24 +154,47 @@ TEST(SimdParallel, ForcedTierIsClampedAndNamed)
     EXPECT_EQ(best.name(), "simd-parallel");
     EXPECT_TRUE(simdIsaSupported(best.isa()));
 
-    // Forcing a tier the CPU lacks clamps down instead of crashing.
-    SimdParallelMatcher forced(SimdIsa::Avx2);
-    EXPECT_TRUE(simdIsaSupported(forced.isa()));
+    // A forced tier runs if the CPU has it, else clamps to scalar.
+    SimdParallelMatcher forced(SimdIsa::Sse2);
+    EXPECT_EQ(forced.isa(), simdIsaSupported(SimdIsa::Sse2)
+                                ? SimdIsa::Sse2
+                                : SimdIsa::Scalar);
+    EXPECT_EQ(forced.name(),
+              std::string("simd-parallel-") + simdIsaName(forced.isa()));
 }
 
-TEST(SimdParallel, PackedWordsAgreeWithUnpackedBits)
+TEST(SimdParallel, PackedWordsAgreeAndEffortIsBounded)
 {
-    SimdParallelMatcher sp;
-    const auto w = test::makeShapedWorkload(0xBEEF, 3, 500, 7, 10);
-    const std::vector<std::uint64_t> packed =
+    for (const SimdIsa isa : supportedTiers()) {
+        SimdParallelMatcher sp(isa);
+        // Texts one short of, exactly, and one past a word, plus
+        // multi-word texts with a partial last word.
+        for (const std::size_t n :
+             {std::size_t(63), std::size_t(64), std::size_t(65),
+              std::size_t(190), std::size_t(500)}) {
+            const auto w = test::makeShapedWorkload(0xBEEF + n, 3, n, 7,
+                                                    10);
+            const std::vector<std::uint64_t> packed =
+                sp.matchPacked(w.text, w.pattern);
+            ASSERT_EQ(packed.size(), (n + 63) / 64);
+            EXPECT_EQ(unpackResultBits(packed.data(), n),
+                      sp.match(w.text, w.pattern))
+                << simdIsaName(isa) << " n=" << n;
+            // Slack bits past position n-1 must stay zero: the sharded
+            // and batch layers OR whole words without re-masking.
+            if (n % 64 != 0) {
+                EXPECT_EQ(packed.back() >> (n % 64), 0u)
+                    << simdIsaName(isa) << " n=" << n;
+            }
+        }
+        // Word ops must be far below the n*k bit operations the
+        // scalar reference performs -- the whole point of the kernel.
+        const auto w = test::makeShapedWorkload(0xEFF, 8, 10'000, 16, 0);
         sp.matchPacked(w.text, w.pattern);
-    const std::size_t n = w.text.size();
-    EXPECT_EQ(packed.size(), (n + 63) / 64);
-    EXPECT_EQ(unpackResultBits(packed, n), sp.match(w.text, w.pattern));
-    // Slack bits past position n-1 must stay zero: the sharded and
-    // batch layers OR whole words without re-masking.
-    if (n % 64 != 0) {
-        EXPECT_EQ(packed.back() >> (n % 64), 0u);
+        EXPECT_GE(sp.lastPlanes(), 1u);
+        EXPECT_LE(sp.lastPlanes(), 8u);
+        EXPECT_GT(sp.lastWordOps(), 0u);
+        EXPECT_LT(sp.lastWordOps(), 10'000u * 16u / 4u) << simdIsaName(isa);
     }
 }
 

@@ -134,8 +134,11 @@ TEST(BitSlicedDict, MatchesNaiveWithWildcards)
     Rng rng(0x19A1u);
     NaiveDictMatcher naive;
     BitSlicedDictMatcher planes;
+    // 2-, 5- and 8-bit alphabets take the byte-narrowed transpose; the
+    // 12-bit one takes the wide transpose.
+    constexpr BitWidth widths[] = {2, 5, 8, 12};
     for (int round = 0; round < 60; ++round) {
-        const BitWidth bits = round % 4 == 0 ? 2 : (round % 4 == 1 ? 5 : 8);
+        const BitWidth bits = widths[round % 4];
         const std::size_t n = 1 + rng.nextBelow(300);
         const std::size_t p = 1 + rng.nextBelow(24);
         const unsigned wc = round % 2 == 0 ? 0 : 25;

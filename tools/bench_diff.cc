@@ -17,7 +17,8 @@
  *                          --smoke and full runs.
  *
  * Keys present in only one file are warnings, not failures, for the
- * same reason. Exit status: 0 all gates hold, 1 regression, 2 usage /
+ * same reason; the summary line counts the baseline keys the fresh
+ * report lacks, so a renamed or dropped key shows there. Exit status: 0 all gates hold, 1 regression, 2 usage /
  * unreadable input.
  */
 
@@ -173,11 +174,13 @@ main(int argc, char **argv)
 
     int failures = 0;
     int checked = 0;
+    int missing = 0;
     for (const Entry &b : base) {
         const Entry *f = find(fresh, b.key);
         if (!f) {
             std::printf("warn  %-44s missing from fresh report\n",
                         b.key.c_str());
+            ++missing;
             continue;
         }
         if (b.isString || f->isString) {
@@ -223,7 +226,8 @@ main(int argc, char **argv)
                         f.key.c_str());
     }
 
-    std::printf("bench_diff: %s vs %s: %d gated keys, %d failures\n",
-                files[0], files[1], checked, failures);
+    std::printf("bench_diff: %s vs %s: %d gated keys, %d missing, "
+                "%d failures\n",
+                files[0], files[1], checked, missing, failures);
     return failures == 0 ? 0 : 1;
 }
