@@ -11,7 +11,10 @@
  *                  query smokeMode() to shrink their sweeps, and each
  *                  timing benchmark runs exactly one iteration;
  *   --json <path>  after the run, write every value recorded with
- *                  jsonReport() as one flat JSON object to <path>.
+ *                  jsonReport() as one flat JSON object to <path>,
+ *                  led by the host it ran on: host.nproc, host.isa
+ *                  (best SIMD tier), host.build (CMake build type)
+ *                  and host.telem_off (1 under SPM_TELEM_OFF).
  *
  * A bench that should always produce a JSON artifact (E13 writes
  * BENCH_E13.json) sets a default path with jsonDefaultPath().
@@ -25,9 +28,11 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/simdpar.hh"
 #include "util/rng.hh"
 #include "util/types.hh"
 
@@ -192,6 +197,17 @@ benchMain(int argc, char **argv, void (*report_fn)())
             args.push_back(argv[i]);
         }
     }
+#ifdef SPM_TELEM_OFF
+    constexpr double telemOff = 1;
+#else
+    constexpr double telemOff = 0;
+#endif
+    jsonReport().set("host.nproc",
+                     static_cast<double>(std::thread::hardware_concurrency()));
+    jsonReport().set("host.isa", core::simdIsaName(core::bestSimdIsa()));
+    jsonReport().set("host.build", SPM_BENCH_BUILD_TYPE);
+    jsonReport().set("host.telem_off", telemOff);
+
     // A tiny min time keeps the smoke-mode timing pass fast.
     static char min_time[] = "--benchmark_min_time=0.001";
     if (benchOptions().smoke)

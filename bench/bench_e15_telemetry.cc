@@ -181,8 +181,7 @@ microReport()
     });
     const double hist_s = secondsOf([&] {
         for (std::uint64_t i = 0; i < iters; ++i)
-            SPM_THIST_GLOBAL("bench.e15.hist", 0.0, 1.0, 16,
-                             static_cast<double>(i % 100) / 100.0);
+            SPM_THIST_GLOBAL("bench.e15.hist", static_cast<double>(i % 100));
     });
     const double span_s = secondsOf([&] {
         for (std::uint64_t i = 0; i < iters; ++i) {

@@ -15,7 +15,7 @@
  *   batch          the same discipline over the batched front end,
  *                  where one observation amortizes over a whole pass
  *                  so the per-stream cost is near zero;
- *   micro          ns per StageClock mark and per LogHistogram sample.
+ *   micro          ns per StageClock mark and per histogram sample.
  *
  * The report writes BENCH_E20.json (override with --json <path>;
  * --smoke shrinks the sweep for CI).
@@ -218,10 +218,10 @@ microReport()
         benchmark::DoNotOptimize(clock);
     });
     telem::Registry reg(1);
-    telem::LogHistogram &lh = reg.logHistogram("bench.e20.loghist");
+    telem::Histogram &h = reg.histogram("bench.e20.hist");
     double sample_s = secondsOf([&] {
         for (std::uint64_t i = 0; i < iters; ++i)
-            lh.sample(static_cast<double>(i % 100000));
+            h.sample(static_cast<double>(i % 100000));
     });
     telem::setSamplingEnabled(false);
     double mark_off_s = secondsOf([&] {
@@ -239,7 +239,7 @@ microReport()
                    Table::fixed(mark_s * to_ns, 1));
     table.addRowOf("StageClock mark (disarmed)",
                    Table::fixed(mark_off_s * to_ns, 1));
-    table.addRowOf("LogHistogram sample", Table::fixed(sample_s * to_ns, 1));
+    table.addRowOf("Histogram sample", Table::fixed(sample_s * to_ns, 1));
     std::printf("%s\n", table.toString().c_str());
 
     jsonReport().set("reqobs.mark_ns", mark_s * to_ns);

@@ -26,10 +26,7 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config,
       rejectedCtr(metrics.counter("rejected")),
       crossChecksCtr(metrics.counter("crossChecks")),
       crossCheckFailuresCtr(metrics.counter("crossCheckFailures")),
-      batchWidthHist(metrics.histogram(
-          "batch_width", 0.0,
-          static_cast<double>(std::max<std::size_t>(cfg.maxBatchStreams, 1)),
-          16)),
+      batchWidthHist(metrics.histogram("batch_width")),
       reqObs(metrics, "batch", &exemplarStore)
 {
     spm_assert(cfg.maxBatchStreams > 0,

@@ -28,12 +28,9 @@ DictMatchService::DictMatchService(DictServiceConfig config)
       rejectedCtr(metrics.counter("rejected")),
       crossChecksCtr(metrics.counter("crossChecks")),
       crossCheckFailuresCtr(metrics.counter("crossCheckFailures")),
-      dictSizeHist(metrics.histogram(
-          "dict_size", 0.0,
-          static_cast<double>(std::max<std::size_t>(cfg.maxDictPatterns, 1)),
-          16)),
-      hitsPerChunkHist(metrics.histogram("hits_per_chunk", 0.0, 256.0, 16)),
-      planesPerSweepHist(metrics.histogram("planes_per_sweep", 0.0, 17.0, 17)),
+      dictSizeHist(metrics.histogram("dict_size")),
+      hitsPerChunkHist(metrics.histogram("hits_per_chunk")),
+      planesPerSweepHist(metrics.histogram("planes_per_sweep")),
       reqObs(metrics, "dict", &exemplarStore)
 {
     spm_assert(cfg.maxDictPatterns > 0,

@@ -395,7 +395,7 @@ MatchService::MatchService(
       checkpointsCtr(metrics.counter("checkpoints")),
       resumesCtr(metrics.counter("resumes")),
       queueDepthGauge(metrics.gauge("queue_depth")),
-      chunkBeatsHist(metrics.histogram("chunk_beats", 0.0, 1024.0, 16)),
+      chunkBeatsHist(metrics.histogram("chunk_beats")),
       flight(cfg.flightCapacity),
       reqObs(metrics, "stream", &exemplarStore)
 {

@@ -152,8 +152,7 @@ ShardedMatchService::ShardedMatchService(ShardedConfig config,
       probesCtr(supMetrics.counter("probes")),
       overlapChecksCtr(supMetrics.counter("overlap_checks")),
       overlapMismatchesCtr(supMetrics.counter("overlap_mismatches")),
-      queueWaitHist(
-          supMetrics.histogram("queue_wait_beats", 0.0, 65536.0, 16)),
+      queueWaitHist(supMetrics.histogram("queue_wait_beats")),
       flight(cfg.base.flightCapacity),
       reqObs(supMetrics, "sharded", &exemplarStore)
 {
@@ -229,7 +228,7 @@ ShardedMatchService::enqueue(std::vector<std::function<void()>> &tasks)
     // batched handoff), with each task wrapped so its handoff latency
     // -- enqueue to the moment a worker starts it -- lands in
     // queue_wait_beats, converted from wall nanoseconds at the
-    // prototype beat period.
+    // prototype beat period (the histogram rounds to whole beats).
     const auto enqueued_at = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> lock(mu);
@@ -813,10 +812,13 @@ ShardedMatchService::metricsSnapshot() const
         snap.merge(shard->metricsSnapshot());
     // The shards' own request observers measure *slices*; re-key them
     // under "shard." so they don't read as a whole-request service
-    // next to the request-level "sharded.req.*" histograms below.
-    for (auto &entry : snap.logHistograms)
+    // next to the request-level "sharded.req.*" histograms below, and
+    // restore the name order the snapshot's setters rely on.
+    for (auto &entry : snap.histograms)
         if (entry.first.rfind("req.", 0) == 0)
             entry.first = "shard." + entry.first;
+    std::sort(snap.histograms.begin(), snap.histograms.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
     std::size_t quarantined = 0;
     {
         std::lock_guard<std::mutex> lock(healthMu);
@@ -833,8 +835,6 @@ ShardedMatchService::metricsSnapshot() const
         snap.setCounter("sharded." + name, value);
     for (const auto &[name, hist] : sup.histograms)
         snap.setHistogram("sharded." + name, hist);
-    for (const auto &[name, hist] : sup.logHistograms)
-        snap.setLogHistogram("sharded." + name, hist);
     return snap;
 }
 

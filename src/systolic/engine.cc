@@ -13,7 +13,7 @@ Engine::Engine(Picoseconds beat_period_ps)
       evalsCtr(registry.counter("evaluations")),
       activeCtr(registry.counter("active_cell_beats")),
       idleCtr(registry.counter("idle_cell_beats")),
-      activeFracHist(registry.histogram("active_frac", 0.0, 1.001, 16))
+      activeCellsHist(registry.histogram("active_cells"))
 {
 }
 
@@ -62,9 +62,9 @@ Engine::step()
         if (c->activeOn(beat))
             ++active;
     }
-    evalsCtr.increment(cells.size());
-    activeCtr.increment(active);
-    idleCtr.increment(cells.size() - active);
+    evalsCtr.add(cells.size());
+    activeCtr.add(active);
+    idleCtr.add(cells.size() - active);
     beatClock.advancePhase();
 
     // Phase Phi2: all staged outputs become visible simultaneously.
@@ -84,7 +84,7 @@ Engine::step()
     // Stride-sampled: one histogram update per 16 beats keeps the
     // per-beat telemetry cost to a branch without losing the shape.
     if ((beat & 15) == 0)
-        SPM_THIST(activeFracHist, lastUtil);
+        SPM_THIST(activeCellsHist, static_cast<double>(active));
 
     for (auto &hook : endHooks)
         hook(beat);
@@ -93,7 +93,7 @@ Engine::step()
         trace->snapshot(*this, beat);
 
     beatClock.advancePhase();
-    beatsCtr.increment();
+    beatsCtr.add();
 }
 
 void

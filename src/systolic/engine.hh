@@ -98,10 +98,11 @@ class Engine
     /**
      * Simulation statistics: beats, evaluations, active_cell_beats
      * (cells with a valid meeting), idle_cell_beats (activations the
-     * checkerboard gated away), plus an active_frac histogram of the
-     * per-beat utilization. E3 reads its duty cycle from these
-     * counters rather than inferring it from the schedule. Counter
-     * names are bare ("beats"); statsDump() prefixes "engine.".
+     * checkerboard gated away), plus an active_cells histogram of the
+     * per-beat active cell count (every 16th beat). E3 reads its duty
+     * cycle from these counters rather than inferring it from the
+     * schedule. Counter names are bare ("beats"); statsDump()
+     * prefixes "engine.".
      */
     const telem::Registry &stats() const { return registry; }
 
@@ -128,7 +129,7 @@ class Engine
     telem::Counter &evalsCtr;
     telem::Counter &activeCtr;
     telem::Counter &idleCtr;
-    telem::Histogram &activeFracHist;
+    telem::Histogram &activeCellsHist;
     RunningStat utilStat;
     double lastUtil = 0.0;
 };

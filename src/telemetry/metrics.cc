@@ -127,123 +127,10 @@ Counter::reset()
 
 // -------------------------------------------------------------- Histogram
 
-Histogram::Histogram(std::string metric_name, double range_lo,
-                     double range_hi, std::size_t buckets,
-                     std::size_t stripe_count)
-    : metricName(std::move(metric_name)), lo(range_lo), hi(range_hi),
-      nBuckets(buckets)
-{
-    spm_assert(range_lo < range_hi,
-               "histogram '", metricName, "': lo must be < hi");
-    spm_assert(buckets > 0,
-               "histogram '", metricName, "': needs at least one bucket");
-    stripes = roundUpPow2(std::max<std::size_t>(stripe_count, 1));
-    cells = std::make_unique<std::atomic<std::uint64_t>[]>(
-        stripes * (nBuckets + 3));
-    for (std::size_t i = 0; i < stripes * (nBuckets + 3); ++i)
-        cells[i].store(0, std::memory_order_relaxed);
-    sumCells = std::make_unique<StripeCell[]>(stripes);
-}
-
-void
-Histogram::sample(double v)
-{
-    std::size_t stripe = threadStripe() & (stripes - 1);
-    if (std::isnan(v)) {
-        // NaN fails both range comparisons; without this check it
-        // would fall into the bucket-index cast (undefined behavior)
-        // and poison the sum. Count it where a dashboard can see it.
-        cells[cellIndex(stripe, nBuckets + 2)].fetch_add(
-            1, std::memory_order_relaxed);
-        return;
-    }
-    std::size_t slot;
-    if (v < lo) {
-        slot = nBuckets; // underflow
-    } else if (v >= hi) {
-        slot = nBuckets + 1; // overflow
-    } else {
-        auto i = static_cast<std::size_t>((v - lo) / (hi - lo) *
-                                          static_cast<double>(nBuckets));
-        slot = std::min(i, nBuckets - 1);
-    }
-    cells[cellIndex(stripe, slot)].fetch_add(1, std::memory_order_relaxed);
-    // Sums accumulate in milli-units so one atomic integer carries
-    // fractional samples (utilization fractions, millisecond latencies).
-    auto milli = static_cast<std::int64_t>(std::llround(v * 1000.0));
-    sumCells[stripe].v.fetch_add(static_cast<std::uint64_t>(milli),
-                                 std::memory_order_relaxed);
-}
-
-std::uint64_t
-Histogram::slotTotal(std::size_t slot) const
-{
-    std::uint64_t total = 0;
-    for (std::size_t s = 0; s < stripes; ++s)
-        total += cells[cellIndex(s, slot)].load(std::memory_order_relaxed);
-    return total;
-}
-
-std::uint64_t
-Histogram::bucketValue(std::size_t i) const
-{
-    spm_assert(i < nBuckets, "histogram '", metricName,
-               "': bucket ", i, " out of range");
-    return slotTotal(i);
-}
-
-std::uint64_t
-Histogram::underflows() const
-{
-    return slotTotal(nBuckets);
-}
-
-std::uint64_t
-Histogram::overflows() const
-{
-    return slotTotal(nBuckets + 1);
-}
-
-std::uint64_t
-Histogram::invalids() const
-{
-    return slotTotal(nBuckets + 2);
-}
-
-std::uint64_t
-Histogram::samples() const
-{
-    std::uint64_t total = 0;
-    for (std::size_t slot = 0; slot < nBuckets + 2; ++slot)
-        total += slotTotal(slot);
-    return total;
-}
-
-double
-Histogram::sum() const
-{
-    std::int64_t milli = 0;
-    for (std::size_t s = 0; s < stripes; ++s)
-        milli += static_cast<std::int64_t>(
-            sumCells[s].v.load(std::memory_order_relaxed));
-    return static_cast<double>(milli) / 1000.0;
-}
-
-void
-Histogram::reset()
-{
-    for (std::size_t i = 0; i < stripes * (nBuckets + 3); ++i)
-        cells[i].store(0, std::memory_order_relaxed);
-    for (std::size_t s = 0; s < stripes; ++s)
-        sumCells[s].v.store(0, std::memory_order_relaxed);
-}
-
-// ----------------------------------------------------------- LogHistogram
-
 std::size_t
-LogHistogram::bucketIndex(std::uint64_t u, unsigned sub_bits)
+Histogram::bucketIndex(std::uint64_t u)
 {
-    const std::uint64_t sub = std::uint64_t{1} << sub_bits;
+    constexpr std::uint64_t sub = std::uint64_t{1} << subBits;
     if (u < 2 * sub)
         return static_cast<std::size_t>(u); // exact low range
 #if defined(__GNUC__) || defined(__clang__)
@@ -253,66 +140,55 @@ LogHistogram::bucketIndex(std::uint64_t u, unsigned sub_bits)
     for (std::uint64_t w = u; w >>= 1;)
         ++msb;
 #endif
-    const unsigned shift = msb - sub_bits;
+    const unsigned shift = msb - subBits;
     return static_cast<std::size_t>((shift + 1) * sub + (u >> shift) - sub);
 }
 
 std::uint64_t
-LogHistogram::bucketFloor(std::size_t index, unsigned sub_bits)
+Histogram::bucketFloor(std::size_t index)
 {
-    const std::uint64_t sub = std::uint64_t{1} << sub_bits;
+    constexpr std::uint64_t sub = std::uint64_t{1} << subBits;
     if (index < 2 * sub)
         return index;
     const std::size_t shift = index / sub - 1;
     return (sub + index % sub) << shift;
 }
 
-std::size_t
-LogHistogram::bucketCountFor(unsigned sub_bits)
+Histogram::Histogram(std::string metric_name, std::size_t stripe_count)
+    : metricName(std::move(metric_name)),
+      stripes(roundUpPow2(std::max<std::size_t>(stripe_count, 1)))
 {
-    // Values up to 2^64-1 map to index (64 - sub_bits)*sub + sub - 1.
-    return static_cast<std::size_t>(65 - sub_bits)
-           << sub_bits;
-}
-
-LogHistogram::LogHistogram(std::string metric_name, unsigned sub_bits,
-                           std::size_t stripe_count)
-    : metricName(std::move(metric_name)), subBitsN(sub_bits)
-{
-    spm_assert(sub_bits <= 6, "log histogram '", metricName,
-               "': sub_bits must be <= 6");
-    nBuckets = bucketCountFor(sub_bits);
-    stripes = roundUpPow2(std::max<std::size_t>(stripe_count, 1));
     cells = std::make_unique<std::atomic<std::uint64_t>[]>(
-        stripes * (nBuckets + 1));
-    for (std::size_t i = 0; i < stripes * (nBuckets + 1); ++i)
+        stripes * (bucketCount + 1));
+    for (std::size_t i = 0; i < stripes * (bucketCount + 1); ++i)
         cells[i].store(0, std::memory_order_relaxed);
     sumCells = std::make_unique<StripeCell[]>(stripes);
 }
 
 void
-LogHistogram::sample(double v)
+Histogram::sample(double v)
 {
     std::size_t stripe = threadStripe() & (stripes - 1);
     if (std::isnan(v) || v < 0.0) {
-        cells[cellIndex(stripe, nBuckets)].fetch_add(
+        cells[cellIndex(stripe, bucketCount)].fetch_add(
             1, std::memory_order_relaxed);
         return;
     }
-    // Latencies are integer beat / nanosecond counts; round and clamp
-    // to the llround-safe range (the top buckets absorb the rest).
+    // Every site samples an integer count (beats, ns, members); round
+    // and clamp to the llround-safe range (the top buckets absorb the
+    // rest).
     std::uint64_t u = v >= 9.0e18
                           ? std::uint64_t{9'000'000'000'000'000'000}
                           : static_cast<std::uint64_t>(std::llround(v));
-    cells[cellIndex(stripe, bucketIndex(u, subBitsN))].fetch_add(
+    cells[cellIndex(stripe, bucketIndex(u))].fetch_add(
         1, std::memory_order_relaxed);
     sumCells[stripe].v.fetch_add(u, std::memory_order_relaxed);
 }
 
 std::uint64_t
-LogHistogram::bucketValue(std::size_t i) const
+Histogram::bucketValue(std::size_t i) const
 {
-    spm_assert(i < nBuckets, "log histogram '", metricName,
+    spm_assert(i < bucketCount, "histogram '", metricName,
                "': bucket ", i, " out of range");
     std::uint64_t total = 0;
     for (std::size_t s = 0; s < stripes; ++s)
@@ -321,27 +197,27 @@ LogHistogram::bucketValue(std::size_t i) const
 }
 
 std::uint64_t
-LogHistogram::invalids() const
+Histogram::invalids() const
 {
     std::uint64_t total = 0;
     for (std::size_t s = 0; s < stripes; ++s)
         total +=
-            cells[cellIndex(s, nBuckets)].load(std::memory_order_relaxed);
+            cells[cellIndex(s, bucketCount)].load(std::memory_order_relaxed);
     return total;
 }
 
 std::uint64_t
-LogHistogram::samples() const
+Histogram::samples() const
 {
     std::uint64_t total = 0;
     for (std::size_t s = 0; s < stripes; ++s)
-        for (std::size_t i = 0; i < nBuckets; ++i)
+        for (std::size_t i = 0; i < bucketCount; ++i)
             total += cells[cellIndex(s, i)].load(std::memory_order_relaxed);
     return total;
 }
 
 double
-LogHistogram::sum() const
+Histogram::sum() const
 {
     std::uint64_t total = 0;
     for (std::size_t s = 0; s < stripes; ++s)
@@ -350,20 +226,19 @@ LogHistogram::sum() const
 }
 
 double
-LogHistogram::quantile(double q) const
+Histogram::quantile(double q) const
 {
-    Snapshot::LogHistogramData data;
-    data.subBits = subBitsN;
-    data.buckets.resize(nBuckets);
-    for (std::size_t i = 0; i < nBuckets; ++i)
+    Snapshot::HistogramData data;
+    data.buckets.resize(bucketCount);
+    for (std::size_t i = 0; i < bucketCount; ++i)
         data.buckets[i] = bucketValue(i);
     return data.quantile(q);
 }
 
 void
-LogHistogram::reset()
+Histogram::reset()
 {
-    for (std::size_t i = 0; i < stripes * (nBuckets + 1); ++i)
+    for (std::size_t i = 0; i < stripes * (bucketCount + 1); ++i)
         cells[i].store(0, std::memory_order_relaxed);
     for (std::size_t s = 0; s < stripes; ++s)
         sumCells[s].v.store(0, std::memory_order_relaxed);
@@ -374,7 +249,7 @@ LogHistogram::reset()
 std::uint64_t
 Snapshot::HistogramData::samples() const
 {
-    std::uint64_t total = under + over;
+    std::uint64_t total = 0;
     for (std::uint64_t b : buckets)
         total += b;
     return total;
@@ -387,24 +262,8 @@ Snapshot::HistogramData::mean() const
     return n ? sum / static_cast<double>(n) : 0.0;
 }
 
-std::uint64_t
-Snapshot::LogHistogramData::samples() const
-{
-    std::uint64_t total = 0;
-    for (std::uint64_t b : buckets)
-        total += b;
-    return total;
-}
-
 double
-Snapshot::LogHistogramData::mean() const
-{
-    std::uint64_t n = samples();
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-double
-Snapshot::LogHistogramData::quantile(double q) const
+Snapshot::HistogramData::quantile(double q) const
 {
     std::uint64_t n = samples();
     if (n == 0)
@@ -417,9 +276,8 @@ Snapshot::LogHistogramData::quantile(double q) const
     for (std::size_t i = 0; i < buckets.size(); ++i) {
         seen += buckets[i];
         if (seen >= rank) {
-            std::uint64_t floor_v = LogHistogram::bucketFloor(i, subBits);
-            std::uint64_t width =
-                LogHistogram::bucketFloor(i + 1, subBits) - floor_v;
+            std::uint64_t floor_v = Histogram::bucketFloor(i);
+            std::uint64_t width = Histogram::bucketFloor(i + 1) - floor_v;
             // Bucket midpoint above the exact range, the value itself
             // inside it.
             return static_cast<double>(floor_v) +
@@ -448,12 +306,6 @@ Snapshot::setHistogram(const std::string &name, HistogramData h)
     setSorted(histograms, name, std::move(h));
 }
 
-void
-Snapshot::setLogHistogram(const std::string &name, LogHistogramData h)
-{
-    setSorted(logHistograms, name, std::move(h));
-}
-
 std::uint64_t
 Snapshot::counterValue(const std::string &name) const
 {
@@ -477,13 +329,6 @@ Snapshot::histogram(const std::string &name) const
     return it == histograms.end() ? nullptr : &it->second;
 }
 
-const Snapshot::LogHistogramData *
-Snapshot::logHistogram(const std::string &name) const
-{
-    auto it = findEntry(logHistograms, name);
-    return it == logHistograms.end() ? nullptr : &it->second;
-}
-
 void
 Snapshot::merge(const Snapshot &other)
 {
@@ -500,26 +345,6 @@ Snapshot::merge(const Snapshot &other)
             continue;
         }
         HistogramData &mine = it->second;
-        spm_assert(mine.buckets.size() == h.buckets.size() &&
-                       mine.lo == h.lo && mine.hi == h.hi,
-                   "snapshot merge: histogram '", name,
-                   "' has mismatched shape");
-        for (std::size_t i = 0; i < h.buckets.size(); ++i)
-            mine.buckets[i] += h.buckets[i];
-        mine.under += h.under;
-        mine.over += h.over;
-        mine.invalid += h.invalid;
-        mine.sum += h.sum;
-    }
-    for (const auto &[name, h] : other.logHistograms) {
-        auto it = findEntry(logHistograms, name);
-        if (it == logHistograms.end()) {
-            setLogHistogram(name, h);
-            continue;
-        }
-        LogHistogramData &mine = it->second;
-        spm_assert(mine.subBits == h.subBits, "snapshot merge: log "
-                   "histogram '", name, "' has mismatched resolution");
         if (mine.buckets.size() < h.buckets.size())
             mine.buckets.resize(h.buckets.size(), 0);
         for (std::size_t i = 0; i < h.buckets.size(); ++i)
@@ -544,33 +369,16 @@ Snapshot::delta(const Snapshot &earlier) const
         out.setGauge(name, v);
     for (const auto &[name, h] : histograms) {
         const HistogramData *prev = earlier.histogram(name);
-        if (!prev || prev->buckets.size() != h.buckets.size() ||
-            prev->lo != h.lo || prev->hi != h.hi) {
+        if (!prev || prev->buckets.size() > h.buckets.size()) {
             out.setHistogram(name, h);
             continue;
         }
         HistogramData d = h;
-        for (std::size_t i = 0; i < d.buckets.size(); ++i)
-            d.buckets[i] = sub(d.buckets[i], prev->buckets[i]);
-        d.under = sub(d.under, prev->under);
-        d.over = sub(d.over, prev->over);
-        d.invalid = sub(d.invalid, prev->invalid);
-        d.sum = h.sum >= prev->sum ? h.sum - prev->sum : h.sum;
-        out.setHistogram(name, std::move(d));
-    }
-    for (const auto &[name, h] : logHistograms) {
-        const LogHistogramData *prev = earlier.logHistogram(name);
-        if (!prev || prev->subBits != h.subBits ||
-            prev->buckets.size() > h.buckets.size()) {
-            out.setLogHistogram(name, h);
-            continue;
-        }
-        LogHistogramData d = h;
         for (std::size_t i = 0; i < prev->buckets.size(); ++i)
             d.buckets[i] = sub(d.buckets[i], prev->buckets[i]);
         d.invalid = sub(d.invalid, prev->invalid);
         d.sum = h.sum >= prev->sum ? h.sum - prev->sum : h.sum;
-        out.setLogHistogram(name, std::move(d));
+        out.setHistogram(name, std::move(d));
     }
     return out;
 }
@@ -584,12 +392,6 @@ Snapshot::renderText(const std::string &prefix) const
     for (const auto &[name, v] : gauges)
         os << prefix << name << " = " << formatDouble(v) << "\n";
     for (const auto &[name, h] : histograms) {
-        os << prefix << name << " = samples:" << h.samples()
-           << " mean:" << formatDouble(h.mean())
-           << " under:" << h.under << " over:" << h.over
-           << " invalid:" << h.invalid << "\n";
-    }
-    for (const auto &[name, h] : logHistograms) {
         os << prefix << name << " = samples:" << h.samples()
            << " mean:" << formatDouble(h.mean())
            << " p50:" << formatDouble(h.quantile(0.50))
@@ -613,20 +415,12 @@ Snapshot::renderTable(const std::string &title) const
     for (const auto &[name, h] : histograms) {
         std::ostringstream cell;
         cell << "n=" << h.samples() << " mean=" << formatDouble(h.mean())
-             << " [" << formatDouble(h.lo) << "," << formatDouble(h.hi)
-             << ")x" << h.buckets.size() << " under=" << h.under
-             << " over=" << h.over << " invalid=" << h.invalid;
-        t.addRow({name, "histogram", cell.str()});
-    }
-    for (const auto &[name, h] : logHistograms) {
-        std::ostringstream cell;
-        cell << "n=" << h.samples()
              << " p50=" << formatDouble(h.quantile(0.50))
              << " p90=" << formatDouble(h.quantile(0.90))
              << " p99=" << formatDouble(h.quantile(0.99))
              << " p999=" << formatDouble(h.quantile(0.999))
              << " invalid=" << h.invalid;
-        t.addRow({name, "loghist", cell.str()});
+        t.addRow({name, "histogram", cell.str()});
     }
     return t.toString();
 }
@@ -645,26 +439,6 @@ Snapshot::renderPrometheus() const
            << p << " " << formatDouble(v) << "\n";
     }
     for (const auto &[name, h] : histograms) {
-        std::string p = promName(name);
-        os << "# TYPE " << p << " histogram\n";
-        std::uint64_t cumulative = h.under;
-        double width =
-            (h.hi - h.lo) / static_cast<double>(h.buckets.size());
-        for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-            cumulative += h.buckets[i];
-            os << p << "_bucket{le=\""
-               << formatDouble(h.lo + width * static_cast<double>(i + 1))
-               << "\"} " << cumulative << "\n";
-        }
-        os << p << "_bucket{le=\"+Inf\"} " << h.samples() << "\n";
-        os << p << "_sum " << formatDouble(h.sum) << "\n";
-        os << p << "_count " << h.samples() << "\n";
-        os << "# TYPE " << p << "_edge counter\n";
-        os << p << "_edge{kind=\"under\"} " << h.under << "\n";
-        os << p << "_edge{kind=\"over\"} " << h.over << "\n";
-        os << p << "_edge{kind=\"invalid\"} " << h.invalid << "\n";
-    }
-    for (const auto &[name, h] : logHistograms) {
         std::string p = promName(name);
         os << "# TYPE " << p << " summary\n";
         for (double q : {0.5, 0.9, 0.99, 0.999}) {
@@ -701,39 +475,16 @@ Snapshot::toJson() const
         if (i)
             os << ",";
         const auto &[name, h] = histograms[i];
-        os << jsonQuote(name) << ":{\"lo\":" << formatDouble(h.lo)
-           << ",\"hi\":" << formatDouble(h.hi) << ",\"buckets\":[";
+        os << jsonQuote(name) << ":{\"buckets\":[";
         for (std::size_t b = 0; b < h.buckets.size(); ++b) {
             if (b)
                 os << ",";
             os << h.buckets[b];
         }
-        os << "],\"under\":" << h.under << ",\"over\":" << h.over
-           << ",\"invalid\":" << h.invalid
+        os << "],\"invalid\":" << h.invalid
            << ",\"sum\":" << formatDouble(h.sum) << "}";
     }
-    os << "}";
-    // Pre-reqobs snapshots had no log histograms; the key is omitted
-    // when empty so their committed JSON keeps round-tripping.
-    if (!logHistograms.empty()) {
-        os << ",\"loghistograms\":{";
-        for (std::size_t i = 0; i < logHistograms.size(); ++i) {
-            if (i)
-                os << ",";
-            const auto &[name, h] = logHistograms[i];
-            os << jsonQuote(name) << ":{\"subbits\":" << h.subBits
-               << ",\"buckets\":[";
-            for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-                if (b)
-                    os << ",";
-                os << h.buckets[b];
-            }
-            os << "],\"invalid\":" << h.invalid
-               << ",\"sum\":" << formatDouble(h.sum) << "}";
-        }
-        os << "}";
-    }
-    os << "}";
+    os << "}}";
     return os.str();
 }
 
@@ -742,6 +493,10 @@ Snapshot::fromJson(const std::string &text)
 {
     auto root = jsonParse(text);
     if (!root || !root->isObject())
+        return std::nullopt;
+    // The retired two-type encoding kept log-scaled histograms under
+    // their own key; its buckets mean something else, so refuse it.
+    if (root->member("loghistograms"))
         return std::nullopt;
 
     Snapshot snap;
@@ -770,58 +525,20 @@ Snapshot::fromJson(const std::string &text)
         for (const auto &[name, v] : hs->objectMembers()) {
             if (!v.isObject())
                 return std::nullopt;
-            const JsonValue *lo = v.member("lo");
-            const JsonValue *hi = v.member("hi");
-            const JsonValue *buckets = v.member("buckets");
-            const JsonValue *under = v.member("under");
-            const JsonValue *over = v.member("over");
-            const JsonValue *sum = v.member("sum");
-            if (!lo || !hi || !buckets || !under || !over || !sum ||
-                !lo->isNumber() || !hi->isNumber() ||
-                !buckets->isArray() || !under->isNumber() ||
-                !over->isNumber() || !sum->isNumber()) {
-                return std::nullopt;
-            }
-            HistogramData h;
-            h.lo = lo->asNumber();
-            h.hi = hi->asNumber();
-            for (const JsonValue &b : buckets->arrayItems()) {
-                if (!b.isNumber())
-                    return std::nullopt;
-                h.buckets.push_back(
-                    static_cast<std::uint64_t>(b.asNumber()));
-            }
-            h.under = static_cast<std::uint64_t>(under->asNumber());
-            h.over = static_cast<std::uint64_t>(over->asNumber());
-            // Optional: snapshots committed before the invalid cell
-            // existed parse as zero.
-            if (const JsonValue *invalid = v.member("invalid")) {
-                if (!invalid->isNumber())
-                    return std::nullopt;
-                h.invalid =
-                    static_cast<std::uint64_t>(invalid->asNumber());
-            }
-            h.sum = sum->asNumber();
-            snap.setHistogram(name, std::move(h));
-        }
-    }
-    if (const JsonValue *ls = root->member("loghistograms")) {
-        if (!ls->isObject())
-            return std::nullopt;
-        for (const auto &[name, v] : ls->objectMembers()) {
-            if (!v.isObject())
-                return std::nullopt;
-            const JsonValue *subbits = v.member("subbits");
             const JsonValue *buckets = v.member("buckets");
             const JsonValue *invalid = v.member("invalid");
             const JsonValue *sum = v.member("sum");
-            if (!subbits || !buckets || !invalid || !sum ||
-                !subbits->isNumber() || !buckets->isArray() ||
-                !invalid->isNumber() || !sum->isNumber()) {
+            // Exactly these three members: a retired fixed-bucket
+            // entry (lo/hi/under/over) has linear buckets that must
+            // not be read as log-scaled ones.
+            if (v.objectMembers().size() != 3 || !buckets || !invalid ||
+                !sum || !buckets->isArray() || !invalid->isNumber() ||
+                !sum->isNumber()) {
                 return std::nullopt;
             }
-            LogHistogramData h;
-            h.subBits = static_cast<unsigned>(subbits->asNumber());
+            HistogramData h;
+            if (buckets->arrayItems().size() > Histogram::bucketCount)
+                return std::nullopt;
             for (const JsonValue &b : buckets->arrayItems()) {
                 if (!b.isNumber())
                     return std::nullopt;
@@ -830,7 +547,7 @@ Snapshot::fromJson(const std::string &text)
             }
             h.invalid = static_cast<std::uint64_t>(invalid->asNumber());
             h.sum = sum->asNumber();
-            snap.setLogHistogram(name, std::move(h));
+            snap.setHistogram(name, std::move(h));
         }
     }
     return snap;
@@ -885,21 +602,13 @@ Registry::gauge(const std::string &name)
 }
 
 Histogram &
-Registry::histogram(const std::string &name, double lo, double hi,
-                    std::size_t buckets)
+Registry::histogram(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mu);
-    for (auto &h : histograms) {
-        if (h->name() == name) {
-            spm_assert(h->rangeLo() == lo && h->rangeHi() == hi &&
-                           h->bucketCount() == buckets,
-                       "telemetry: histogram '", name,
-                       "' re-registered with a different shape");
+    for (auto &h : histograms)
+        if (h->name() == name)
             return *h;
-        }
-    }
-    histograms.push_back(
-        std::make_unique<Histogram>(name, lo, hi, buckets, stripes));
+    histograms.push_back(std::make_unique<Histogram>(name, stripes));
     return *histograms.back();
 }
 
@@ -913,33 +622,6 @@ Registry::histogram(const std::string &name) const
     spm_panic("telemetry: no histogram named '", name, "'");
 }
 
-LogHistogram &
-Registry::logHistogram(const std::string &name, unsigned sub_bits)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto &h : logHists) {
-        if (h->name() == name) {
-            spm_assert(h->subBits() == sub_bits,
-                       "telemetry: log histogram '", name,
-                       "' re-registered with a different resolution");
-            return *h;
-        }
-    }
-    logHists.push_back(
-        std::make_unique<LogHistogram>(name, sub_bits, stripes));
-    return *logHists.back();
-}
-
-const LogHistogram &
-Registry::logHistogram(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    for (const auto &h : logHists)
-        if (h->name() == name)
-            return *h;
-    spm_panic("telemetry: no log histogram named '", name, "'");
-}
-
 Snapshot
 Registry::snapshot() const
 {
@@ -951,36 +633,17 @@ Registry::snapshot() const
         snap.setGauge(g->name(), g->value());
     for (const auto &h : histograms) {
         Snapshot::HistogramData data;
-        data.lo = h->rangeLo();
-        data.hi = h->rangeHi();
-        data.buckets.resize(h->bucketCount());
-        for (std::size_t i = 0; i < h->bucketCount(); ++i)
-            data.buckets[i] = h->bucketValue(i);
-        data.under = h->underflows();
-        data.over = h->overflows();
+        // Trim the dense tail: samples cluster low, and the trimmed
+        // vector is what merge/JSON carry around.
+        for (std::size_t i = 0; i < Histogram::bucketCount; ++i) {
+            if (std::uint64_t v = h->bucketValue(i)) {
+                data.buckets.resize(i + 1, 0);
+                data.buckets[i] = v;
+            }
+        }
         data.invalid = h->invalids();
         data.sum = h->sum();
         snap.setHistogram(h->name(), std::move(data));
-    }
-    for (const auto &h : logHists) {
-        Snapshot::LogHistogramData data;
-        data.subBits = h->subBits();
-        // Trim the dense tail: latencies cluster low, and the trimmed
-        // vector is what merge/JSON carry around.
-        std::size_t top = 0;
-        for (std::size_t i = 0; i < h->bucketCount(); ++i) {
-            std::uint64_t v = h->bucketValue(i);
-            if (v) {
-                if (data.buckets.size() <= i)
-                    data.buckets.resize(i + 1, 0);
-                data.buckets[i] = v;
-                top = i + 1;
-            }
-        }
-        data.buckets.resize(top);
-        data.invalid = h->invalids();
-        data.sum = h->sum();
-        snap.setLogHistogram(h->name(), std::move(data));
     }
     return snap;
 }
@@ -995,16 +658,13 @@ Registry::reset()
         g->set(0.0);
     for (auto &h : histograms)
         h->reset();
-    for (auto &h : logHists)
-        h->reset();
 }
 
 std::size_t
 Registry::metricCount() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return counters.size() + gauges.size() + histograms.size() +
-           logHists.size();
+    return counters.size() + gauges.size() + histograms.size();
 }
 
 } // namespace spm::telem

@@ -11,14 +11,12 @@
  *
  *   Counter       monotonically increasing count (beats, chars, chunks);
  *   Gauge         last-written level (queue depth, thread count);
- *   Histogram     fixed-bucket distribution over [lo, hi) with explicit
- *                 under/overflow/invalid cells (per-chunk latency,
- *                 settle effort);
- *   LogHistogram  log-scaled (HDR-style) distribution over the
- *                 non-negative integers with bounded relative error,
- *                 built for SLO latency percentiles: p50/p90/p99/p999
+ *   Histogram     log-scaled (HDR-style) distribution over the
+ *                 non-negative integers with bounded relative error
+ *                 and an explicit invalid cell: p50/p90/p99/p999
  *                 extraction by exact-count rank over the recorded
- *                 buckets (request latency in beats and wall-ns).
+ *                 buckets (request latency, per-chunk beats, settle
+ *                 effort, batch widths).
  *
  * Collection is cheap and thread-safe: each metric owns a small power-
  * of-two array of cache-line padded relaxed-atomic cells, and every
@@ -81,7 +79,6 @@ class Counter
         cells[threadStripe() & mask].v.fetch_add(
             by, std::memory_order_relaxed);
     }
-    void increment(std::uint64_t by = 1) { add(by); }
 
     /** Aggregate across stripes. */
     std::uint64_t value() const;
@@ -117,103 +114,45 @@ class Gauge
 };
 
 /**
- * A named fixed-bucket histogram over [lo, hi): bucket i counts
- * samples in [lo + i*w, lo + (i+1)*w) with w = (hi-lo)/buckets;
- * samples below lo and at or above hi land in the underflow and
- * overflow cells, and NaN samples land in an explicit invalid cell
- * (they are not part of the distribution and excluded from the sum).
- * Bucket cells are striped like Counter's.
+ * A named log-scaled histogram over the non-negative integers
+ * (HDR-histogram bucketing): values below 2^(subBits+1) get one exact
+ * bucket each, and every further power-of-two range is split into
+ * 2^subBits sub-buckets, so the relative quantization error is
+ * bounded by 2^-subBits (12.5%) everywhere. The whole uint64 range is
+ * covered by bucketCount dense buckets -- a few KB per stripe -- so no
+ * site has to guess a range up front, and p999 extraction from a
+ * latency stream is cheap enough to record per request. Samples are
+ * rounded to the nearest integer; NaN and negative values land in an
+ * explicit invalid cell (counted, excluded from buckets and sum).
+ *
+ * Quantiles are exact-count ranks over the recorded buckets: the
+ * value returned for quantile(q) is the representative of the bucket
+ * holding the ceil(q*n)-th smallest sample, exact in the low range
+ * and within the relative-error bound above it. Bucket cells are
+ * striped like Counter's.
  */
 class Histogram
 {
   public:
+    /** Sub-bucket resolution; the relative error bound is 2^-subBits. */
+    static constexpr unsigned subBits = 3;
+    /** Dense bucket count: values up to 2^64-1 fit. */
+    static constexpr std::size_t bucketCount = std::size_t{65 - subBits}
+                                               << subBits;
+
     /**
      * @param metric_name registry name
-     * @param lo inclusive lower bound; must be < hi
-     * @param hi exclusive upper bound
-     * @param buckets bucket count; must be > 0
      * @param stripes concurrency stripes (power of two)
      */
-    Histogram(std::string metric_name, double lo, double hi,
-              std::size_t buckets, std::size_t stripes);
+    Histogram(std::string metric_name, std::size_t stripes);
 
     Histogram(const Histogram &) = delete;
     Histogram &operator=(const Histogram &) = delete;
 
     void sample(double v);
 
-    std::size_t bucketCount() const { return nBuckets; }
-    /** Aggregated count of bucket @p i. */
     std::uint64_t bucketValue(std::size_t i) const;
-    std::uint64_t underflows() const;
-    std::uint64_t overflows() const;
-    /** NaN samples (counted, excluded from buckets and sum). */
-    std::uint64_t invalids() const;
-    /** Total samples including under/overflows; excludes invalids. */
-    std::uint64_t samples() const;
-    /** Sum of all sampled values (mean = sum / samples). */
-    double sum() const;
-
-    double rangeLo() const { return lo; }
-    double rangeHi() const { return hi; }
-
-    void reset();
-
-    const std::string &name() const { return metricName; }
-
-  private:
-    /** Cell layout per stripe: buckets, then under, over, invalid. */
-    std::size_t cellIndex(std::size_t stripe, std::size_t slot) const
-    {
-        return stripe * (nBuckets + 3) + slot;
-    }
-    std::uint64_t slotTotal(std::size_t slot) const;
-
-    std::string metricName;
-    double lo;
-    double hi;
-    std::size_t nBuckets;
-    std::size_t stripes;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> cells;
-    std::unique_ptr<StripeCell[]> sumCells; ///< sum in milli-units
-};
-
-/**
- * A named log-scaled histogram over the non-negative integers
- * (HDR-histogram bucketing): values below 2^(subBits+1) get one exact
- * bucket each, and every further power-of-two range is split into
- * 2^subBits sub-buckets, so the relative quantization error is
- * bounded by 2^-subBits everywhere. The whole uint64 range is covered
- * by (65 - subBits) * 2^subBits dense buckets -- a few KB -- which is
- * what makes p999 extraction from a latency stream cheap enough to
- * record per request. Samples are rounded to the nearest integer;
- * NaN and negative values land in an explicit invalid cell.
- *
- * Quantiles are exact-count ranks over the recorded buckets: the
- * value returned for quantile(q) is the representative of the bucket
- * holding the ceil(q*n)-th smallest sample, exact in the low range
- * and within the relative-error bound above it.
- */
-class LogHistogram
-{
-  public:
-    /**
-     * @param metric_name registry name
-     * @param sub_bits sub-bucket resolution (0..6); relative error
-     *        bound is 2^-sub_bits
-     * @param stripes concurrency stripes (power of two)
-     */
-    LogHistogram(std::string metric_name, unsigned sub_bits,
-                 std::size_t stripes);
-
-    LogHistogram(const LogHistogram &) = delete;
-    LogHistogram &operator=(const LogHistogram &) = delete;
-
-    void sample(double v);
-
-    unsigned subBits() const { return subBitsN; }
-    std::size_t bucketCount() const { return nBuckets; }
-    std::uint64_t bucketValue(std::size_t i) const;
+    /** NaN and negative samples (counted apart). */
     std::uint64_t invalids() const;
     /** Valid samples (invalids excluded). */
     std::uint64_t samples() const;
@@ -227,22 +166,18 @@ class LogHistogram
     const std::string &name() const { return metricName; }
 
     /** Dense index of the bucket holding integer value @p u. */
-    static std::size_t bucketIndex(std::uint64_t u, unsigned sub_bits);
+    static std::size_t bucketIndex(std::uint64_t u);
     /** Smallest integer value mapping to bucket @p index. */
-    static std::uint64_t bucketFloor(std::size_t index, unsigned sub_bits);
-    /** Dense bucket count for a resolution. */
-    static std::size_t bucketCountFor(unsigned sub_bits);
+    static std::uint64_t bucketFloor(std::size_t index);
 
   private:
     /** Cell layout per stripe: buckets, then invalid. */
-    std::size_t cellIndex(std::size_t stripe, std::size_t slot) const
+    static std::size_t cellIndex(std::size_t stripe, std::size_t slot)
     {
-        return stripe * (nBuckets + 1) + slot;
+        return stripe * (bucketCount + 1) + slot;
     }
 
     std::string metricName;
-    unsigned subBitsN;
-    std::size_t nBuckets;
     std::size_t stripes;
     std::unique_ptr<std::atomic<std::uint64_t>[]> cells;
     std::unique_ptr<StripeCell[]> sumCells; ///< sum in whole units
@@ -253,27 +188,12 @@ struct Snapshot
 {
     struct HistogramData
     {
-        double lo = 0;
-        double hi = 0;
-        std::vector<std::uint64_t> buckets;
-        std::uint64_t under = 0;
-        std::uint64_t over = 0;
-        std::uint64_t invalid = 0;
-        double sum = 0;
-
-        /** Under + buckets + over; invalids excluded. */
-        std::uint64_t samples() const;
-        double mean() const;
-    };
-
-    struct LogHistogramData
-    {
-        unsigned subBits = 3;
         /** Dense low-index prefix; trailing zero buckets trimmed. */
         std::vector<std::uint64_t> buckets;
         std::uint64_t invalid = 0;
         double sum = 0;
 
+        /** Bucket total; invalids excluded. */
         std::uint64_t samples() const;
         double mean() const;
         /** Exact-count rank quantile; 0 when empty. */
@@ -283,13 +203,11 @@ struct Snapshot
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<std::pair<std::string, HistogramData>> histograms;
-    std::vector<std::pair<std::string, LogHistogramData>> logHistograms;
 
     /** Insert-or-overwrite helpers (keep entries sorted by name). */
     void setCounter(const std::string &name, std::uint64_t v);
     void setGauge(const std::string &name, double v);
     void setHistogram(const std::string &name, HistogramData h);
-    void setLogHistogram(const std::string &name, LogHistogramData h);
 
     /** Look up a counter; 0 when absent. */
     std::uint64_t counterValue(const std::string &name) const;
@@ -297,14 +215,20 @@ struct Snapshot
     std::optional<double> gaugeValue(const std::string &name) const;
     /** Look up a histogram; nullptr when absent. */
     const HistogramData *histogram(const std::string &name) const;
-    /** Look up a log histogram; nullptr when absent. */
-    const LogHistogramData *logHistogram(const std::string &name) const;
+    /**
+     * Same as histogram(). Kept only because the serving benchmark
+     * (perfbench/) calls it by this earlier name, and the benchmark's
+     * sources change only together with the benchmark definition.
+     */
+    const HistogramData *logHistogram(const std::string &name) const
+    {
+        return histogram(name);
+    }
 
     /**
-     * Merge @p other in: counters and histogram cells add (histogram
-     * shapes must agree or the merge panics), gauges take the other
-     * side's value when this side lacks the entry and add otherwise
-     * (the sharded service sums queue depths across shards).
+     * Merge @p other in: counters and histogram cells add, gauges take
+     * the other side's value when this side lacks the entry and add
+     * otherwise (the sharded service sums queue depths across shards).
      */
     void merge(const Snapshot &other);
 
@@ -335,7 +259,10 @@ struct Snapshot
     /** One JSON object, keys sorted, stable across runs. */
     std::string toJson() const;
 
-    /** Parse toJson() output; nullopt on malformed input. */
+    /**
+     * Parse toJson() output; nullopt on malformed input, including a
+     * document in the retired fixed-bucket or "loghistograms" encoding.
+     */
     static std::optional<Snapshot> fromJson(const std::string &text);
 };
 
@@ -365,23 +292,10 @@ class Registry
     /** Get or create a gauge. */
     Gauge &gauge(const std::string &name);
 
-    /**
-     * Get or create a histogram. Getting an existing name with a
-     * different shape panics: one name, one bucketing.
-     */
-    Histogram &histogram(const std::string &name, double lo, double hi,
-                         std::size_t buckets);
+    /** Get or create a histogram. */
+    Histogram &histogram(const std::string &name);
     /** Look up an existing histogram; panics when missing. */
     const Histogram &histogram(const std::string &name) const;
-
-    /**
-     * Get or create a log-scaled histogram. Getting an existing name
-     * with a different resolution panics: one name, one bucketing.
-     */
-    LogHistogram &logHistogram(const std::string &name,
-                               unsigned sub_bits = 3);
-    /** Look up an existing log histogram; panics when missing. */
-    const LogHistogram &logHistogram(const std::string &name) const;
 
     /** Aggregate everything registered into a Snapshot. */
     Snapshot snapshot() const;
@@ -400,7 +314,6 @@ class Registry
     std::vector<std::unique_ptr<Counter>> counters;
     std::vector<std::unique_ptr<Gauge>> gauges;
     std::vector<std::unique_ptr<Histogram>> histograms;
-    std::vector<std::unique_ptr<LogHistogram>> logHists;
 };
 
 } // namespace spm::telem

@@ -212,11 +212,11 @@ RequestObserver::RequestObserver(Registry &reg,
                                  std::string service_label,
                                  ExemplarReservoir *res)
     : serviceLabel(std::move(service_label)), reservoir(res),
-      latencyNsHist(reg.logHistogram("req.latency_ns")),
-      latencyBeatsHist(reg.logHistogram("req.latency_beats"))
+      latencyNsHist(reg.histogram("req.latency_ns")),
+      latencyBeatsHist(reg.histogram("req.latency_beats"))
 {
     for (std::size_t i = 0; i < stageCount; ++i) {
-        stageHists[i] = &reg.logHistogram(
+        stageHists[i] = &reg.histogram(
             std::string("req.stage.") +
             stageName(static_cast<Stage>(i)) + "_ns");
     }

@@ -12,7 +12,7 @@
  *                      cross-check / journal / commit stages, plus
  *                      the beat count the simulated chip charged;
  *   RequestObserver    folds finished clocks into per-service
- *                      LogHistograms ("req.latency_ns",
+ *                      histograms ("req.latency_ns",
  *                      "req.latency_beats", "req.stage.<stage>_ns")
  *                      so p50/p90/p99/p999 and a per-stage tail
  *                      breakdown fall out of any registry snapshot;
@@ -204,7 +204,7 @@ class ExemplarReservoir
 };
 
 /**
- * The per-service fold: binds the request-level LogHistograms in one
+ * The per-service fold: binds the request-level histograms in one
  * registry and feeds them (and an optional reservoir) from finished
  * StageClocks. One observer per service front end; the sharded
  * service's lives on its supervision registry so its metrics render
@@ -244,9 +244,9 @@ class RequestObserver
     std::string serviceLabel;
     ExemplarReservoir *reservoir;
 #ifndef SPM_TELEM_OFF
-    LogHistogram &latencyNsHist;
-    LogHistogram &latencyBeatsHist;
-    std::array<LogHistogram *, stageCount> stageHists{};
+    Histogram &latencyNsHist;
+    Histogram &latencyBeatsHist;
+    std::array<Histogram *, stageCount> stageHists{};
 #endif
 };
 

@@ -206,6 +206,19 @@ TEST(DictServe, TelemetryCountsDictionariesChunksAndHits)
     EXPECT_EQ(snap.counterValue("hits"),
               naive.matchAll(text, dict).totalHits());
     EXPECT_GT(res.totalHits, 0u); // single symbols over 8 letters hit
+#ifndef SPM_TELEM_OFF
+    // The histograms need no range: a 2-member dictionary reads back
+    // exactly (low values get one bucket each), and the one chunk's
+    // hit count within the 12.5% log-bucket bound.
+    const telem::Snapshot::HistogramData *size = snap.histogram("dict_size");
+    ASSERT_NE(size, nullptr);
+    EXPECT_EQ(size->quantile(0.5), 2.0);
+    const telem::Snapshot::HistogramData *hits =
+        snap.histogram("hits_per_chunk");
+    ASSERT_NE(hits, nullptr);
+    const double total = static_cast<double>(res.totalHits);
+    EXPECT_NEAR(hits->quantile(0.5), total, total / 8.0);
+#endif
 
     const std::string dump = svc.statsDump();
     EXPECT_NE(dump.find("dict.dictionaries"), std::string::npos);

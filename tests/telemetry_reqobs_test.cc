@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for the request-observability layer: LogHistogram
- * bucketing and exact-count quantiles against a sorted reference,
- * StageClock attribution, the deterministic exemplar reservoir, the
+ * Unit tests for the request-observability layer: StageClock
+ * attribution, the deterministic exemplar reservoir, the
  * RequestObserver fold, and Snapshot::delta interval arithmetic.
  *
  * Under SPM_TELEM_OFF the StageClock and RequestObserver compile to
@@ -12,11 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <vector>
 
 #include "telemetry/metrics.hh"
@@ -27,151 +23,18 @@ namespace spm::telem
 namespace
 {
 
-TEST(LogHistogram, LowRangeIsExact)
-{
-    Registry reg;
-    LogHistogram &h = reg.logHistogram("lat");
-    // With subBits=3 every integer below 2*8=16 has its own bucket.
-    for (int v = 0; v < 16; ++v)
-        h.sample(static_cast<double>(v));
-    for (std::uint64_t v = 0; v < 16; ++v) {
-        EXPECT_EQ(
-            LogHistogram::bucketFloor(LogHistogram::bucketIndex(v, 3), 3), v);
-        EXPECT_EQ(h.bucketValue(LogHistogram::bucketIndex(v, 3)), 1u);
-    }
-    EXPECT_EQ(h.samples(), 16u);
-}
-
-TEST(LogHistogram, BucketFloorInvertsBucketIndex)
-{
-    // The floor of the bucket holding u is <= u, and the next
-    // bucket's floor is > u: the index function is a monotone
-    // partition of the integers.
-    std::vector<std::uint64_t> probes = {0,    1,     15,      16,
-                                         17,   100,   1000,    4095,
-                                         4096, 65535, 1u << 20, 0};
-    probes.push_back((std::uint64_t{1} << 62) + 12345);
-    for (std::uint64_t u : probes) {
-        const std::size_t idx = LogHistogram::bucketIndex(u, 3);
-        EXPECT_LE(LogHistogram::bucketFloor(idx, 3), u);
-        EXPECT_GT(LogHistogram::bucketFloor(idx + 1, 3), u);
-    }
-}
-
-TEST(LogHistogram, RelativeErrorIsBounded)
-{
-    // subBits=3 promises every recorded value lands in a bucket whose
-    // width is at most 2^-3 = 12.5% of its floor.
-    std::mt19937_64 rng(20);
-    for (int i = 0; i < 2000; ++i) {
-        // Shift by at least one: at msb 63 the *next* bucket's floor
-        // exceeds 2^64 and the inversion check below has no meaning.
-        const std::uint64_t u = rng() >> (1 + rng() % 50);
-        const std::size_t idx = LogHistogram::bucketIndex(u, 3);
-        const std::uint64_t lo = LogHistogram::bucketFloor(idx, 3);
-        const std::uint64_t hi = LogHistogram::bucketFloor(idx + 1, 3);
-        ASSERT_LE(lo, u);
-        ASSERT_GT(hi, u);
-        if (lo >= 16) {
-            EXPECT_LE(static_cast<double>(hi - lo),
-                      static_cast<double>(lo) / 8.0 + 1.0);
-        }
-    }
-}
-
-TEST(LogHistogram, QuantilesTrackASortedReference)
-{
-    Registry reg;
-    LogHistogram &h = reg.logHistogram("lat");
-    std::mt19937_64 rng(77);
-    std::vector<double> values;
-    // Log-uniform latencies across six decades, like real tails.
-    std::uniform_real_distribution<double> exp10(0.0, 6.0);
-    for (int i = 0; i < 20000; ++i) {
-        const double v = std::floor(std::pow(10.0, exp10(rng)));
-        values.push_back(v);
-        h.sample(v);
-    }
-    std::sort(values.begin(), values.end());
-    for (double q : {0.5, 0.9, 0.99, 0.999}) {
-        const std::size_t rank = static_cast<std::size_t>(
-            std::ceil(q * static_cast<double>(values.size())));
-        const double exact = values[std::min(rank, values.size()) - 1];
-        const double approx = h.quantile(q);
-        // Within the 2^-subBits relative-error contract (plus one for
-        // the integer rounding of bucket representatives).
-        EXPECT_NEAR(approx, exact, exact / 8.0 + 1.0)
-            << "q=" << q;
-    }
-}
-
-TEST(LogHistogram, InvalidSamplesAreCountedApart)
-{
-    Registry reg;
-    LogHistogram &h = reg.logHistogram("lat");
-    h.sample(std::numeric_limits<double>::quiet_NaN());
-    h.sample(-5.0);
-    h.sample(3.0);
-    EXPECT_EQ(h.invalids(), 2u);
-    EXPECT_EQ(h.samples(), 1u);
-    EXPECT_EQ(h.quantile(0.5), 3.0);
-}
-
-TEST(LogHistogram, SnapshotQuantileMatchesLive)
-{
-    Registry reg;
-    LogHistogram &h = reg.logHistogram("lat");
-    for (int i = 1; i <= 1000; ++i)
-        h.sample(static_cast<double>(i));
-    const Snapshot snap = reg.snapshot();
-    const Snapshot::LogHistogramData *d = snap.logHistogram("lat");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->samples(), 1000u);
-    for (double q : {0.5, 0.9, 0.99})
-        EXPECT_DOUBLE_EQ(d->quantile(q), h.quantile(q));
-}
-
-TEST(LogHistogram, ResolutionMismatchPanics)
-{
-    Registry reg;
-    reg.logHistogram("lat", 3);
-    EXPECT_THROW(reg.logHistogram("lat", 4), std::logic_error);
-    EXPECT_NO_THROW(reg.logHistogram("lat", 3));
-}
-
-TEST(LogHistogram, JsonRoundTripIsLossless)
-{
-    Registry reg;
-    LogHistogram &h = reg.logHistogram("req.latency_ns");
-    h.sample(17.0);
-    h.sample(123456.0);
-    h.sample(std::numeric_limits<double>::quiet_NaN());
-    const Snapshot before = reg.snapshot();
-    const std::string json = before.toJson();
-    const std::optional<Snapshot> after = Snapshot::fromJson(json);
-    ASSERT_TRUE(after.has_value());
-    const Snapshot::LogHistogramData *d =
-        after->logHistogram("req.latency_ns");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->samples(), 2u);
-    EXPECT_EQ(d->invalid, 1u);
-    // Quantiles computed from the round-tripped buckets match the
-    // live histogram's bucket-midpoint answers exactly.
-    EXPECT_DOUBLE_EQ(d->quantile(0.5), h.quantile(0.5));
-    EXPECT_EQ(after->toJson(), json);
-}
-
-TEST(SnapshotDelta, SubtractsCountersAndLogHistograms)
+TEST(SnapshotDelta, SubtractsCountersAndHistograms)
 {
     Registry reg;
     Counter &c = reg.counter("served");
-    LogHistogram &h = reg.logHistogram("lat");
+    Histogram &h = reg.histogram("lat");
     c.add(5);
     h.sample(10.0);
     h.sample(20.0);
     const Snapshot earlier = reg.snapshot();
     c.add(3);
     h.sample(1000.0);
+    h.sample(std::numeric_limits<double>::quiet_NaN());
     reg.gauge("depth").set(7.0);
     const Snapshot now = reg.snapshot();
 
@@ -179,9 +42,11 @@ TEST(SnapshotDelta, SubtractsCountersAndLogHistograms)
     EXPECT_EQ(d.counterValue("served"), 3u);
     // Gauges are levels, not rates: the delta keeps the current one.
     EXPECT_EQ(d.gaugeValue("depth"), 7.0);
-    const Snapshot::LogHistogramData *ld = d.logHistogram("lat");
+    const Snapshot::HistogramData *ld = d.histogram("lat");
     ASSERT_NE(ld, nullptr);
     EXPECT_EQ(ld->samples(), 1u);
+    EXPECT_EQ(ld->invalid, 1u);
+    EXPECT_EQ(ld->sum, 1000.0);
     // Interval percentiles see only the interval's sample, to within
     // the log-bucket's 12.5% relative-error bound.
     EXPECT_NEAR(ld->quantile(0.5), 1000.0, 1000.0 / 8.0);
@@ -250,19 +115,19 @@ TEST(RequestObserver, FoldsClocksIntoReqHistograms)
     setSamplingEnabled(false);
 
     const Snapshot snap = reg.snapshot();
-    const Snapshot::LogHistogramData *lat =
-        snap.logHistogram("req.latency_ns");
+    const Snapshot::HistogramData *lat =
+        snap.histogram("req.latency_ns");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->samples(), 1u);
-    EXPECT_NEAR(snap.logHistogram("req.latency_beats")->quantile(0.5), 64.0,
+    EXPECT_NEAR(snap.histogram("req.latency_beats")->quantile(0.5), 64.0,
                 64.0 / 8.0);
-    const Snapshot::LogHistogramData *qw =
-        snap.logHistogram("req.stage.queue_wait_ns");
+    const Snapshot::HistogramData *qw =
+        snap.histogram("req.stage.queue_wait_ns");
     ASSERT_NE(qw, nullptr);
     // One wait from the clock, one from noteQueueWait.
     EXPECT_EQ(qw->samples(), 2u);
     // Unmarked stages record nothing (no zero-spam).
-    EXPECT_EQ(snap.logHistogram("req.stage.journal_ns")->samples(), 0u);
+    EXPECT_EQ(snap.histogram("req.stage.journal_ns")->samples(), 0u);
 }
 
 TEST(ExemplarReservoir, SlowestClassKeepsTheLargestLatencies)
@@ -362,7 +227,7 @@ TEST(RequestObserver, RegistersNothing)
     obs.observe(clock, 1, true, "forced", [] { return std::string("c"); });
     obs.noteQueueWait(123);
     EXPECT_EQ(reg.metricCount(), 0u);
-    EXPECT_EQ(reg.snapshot().logHistogram("req.latency_ns"), nullptr);
+    EXPECT_EQ(reg.snapshot().histogram("req.latency_ns"), nullptr);
 }
 
 #endif // SPM_TELEM_OFF

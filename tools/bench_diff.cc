@@ -14,12 +14,16 @@
  *   *overhead_frac*        fresh <= baseline + 0.05;
  *   other numbers          informational only -- shape keys (counts,
  *                          sweep sizes) legitimately differ between
- *                          --smoke and full runs.
+ *                          --smoke and full runs;
+ *   host.*                 never gated: the machine a report came
+ *                          from. When the two hosts differ, one "host"
+ *                          line names both, so a ratio measured
+ *                          against another box reads as what it is.
  *
  * Keys present in only one file are warnings, not failures, for the
  * same reason; the summary line counts the baseline keys the fresh
- * report lacks, so a renamed or dropped key shows there. Exit status: 0 all gates hold, 1 regression, 2 usage /
- * unreadable input.
+ * report lacks, so a renamed or dropped key shows there. Exit status:
+ * 0 all gates hold, 1 regression, 2 usage / unreadable input.
  */
 
 #include <cctype>
@@ -136,6 +140,27 @@ keyHas(const std::string &key, const char *needle)
     return key.find(needle) != std::string::npos;
 }
 
+bool
+isHostKey(const std::string &key)
+{
+    return key.rfind("host.", 0) == 0;
+}
+
+/** "nproc=4 isa=sse2 ..." from the host.* entries; "unrecorded" if none. */
+std::string
+hostLine(const std::vector<Entry> &entries)
+{
+    std::string out;
+    for (const Entry &e : entries) {
+        if (!isHostKey(e.key))
+            continue;
+        if (!out.empty())
+            out += ' ';
+        out += e.key.substr(5) + "=" + e.raw;
+    }
+    return out.empty() ? "unrecorded" : out;
+}
+
 } // namespace
 
 int
@@ -172,10 +197,18 @@ main(int argc, char **argv)
         return 2;
     }
 
+    const std::string baseHost = hostLine(base);
+    const std::string freshHost = hostLine(fresh);
+    if (baseHost != freshHost)
+        std::printf("host  baseline: %s; fresh: %s\n", baseHost.c_str(),
+                    freshHost.c_str());
+
     int failures = 0;
     int checked = 0;
     int missing = 0;
     for (const Entry &b : base) {
+        if (isHostKey(b.key))
+            continue;
         const Entry *f = find(fresh, b.key);
         if (!f) {
             std::printf("warn  %-44s missing from fresh report\n",
@@ -221,7 +254,7 @@ main(int argc, char **argv)
         // Other numeric keys are shape/config values: not gated.
     }
     for (const Entry &f : fresh) {
-        if (!find(base, f.key))
+        if (!isHostKey(f.key) && !find(base, f.key))
             std::printf("warn  %-44s new key (not in baseline)\n",
                         f.key.c_str());
     }

@@ -101,13 +101,13 @@ fmtCount(double v)
     return buf;
 }
 
-/** Service prefixes present: every "<prefix>req.latency_ns" loghist. */
+/** Service prefixes present: every "<prefix>req.latency_ns" histogram. */
 std::vector<std::string>
 servicePrefixes(const Snapshot &snap)
 {
     const std::string key = "req.latency_ns";
     std::vector<std::string> out;
-    for (const auto &[name, h] : snap.logHistograms) {
+    for (const auto &[name, h] : snap.histograms) {
         (void)h;
         if (name.size() >= key.size() &&
             name.compare(name.size() - key.size(), key.size(), key) == 0)
@@ -146,11 +146,11 @@ renderFrame(const Snapshot &snap, double elapsed_s)
 
     const auto prefixes = servicePrefixes(snap);
     if (prefixes.empty())
-        os << "(no req.latency_ns log-histograms in this snapshot; "
+        os << "(no req.latency_ns histograms in this snapshot; "
               "was it taken under SPM_TELEM_OFF?)\n";
     for (const std::string &prefix : prefixes) {
-        const auto *lat = snap.logHistogram(prefix + "req.latency_ns");
-        const auto *beats = snap.logHistogram(prefix + "req.latency_beats");
+        const auto *lat = snap.histogram(prefix + "req.latency_ns");
+        const auto *beats = snap.histogram(prefix + "req.latency_beats");
         if (lat == nullptr)
             continue;
         const std::uint64_t n = lat->samples();
@@ -179,14 +179,13 @@ renderFrame(const Snapshot &snap, double elapsed_s)
         // Stage attribution: share of summed stage time, plus the
         // p99 of each stage that saw samples.
         double totalStage = 0.0;
-        std::array<const Snapshot::LogHistogramData *,
+        std::array<const Snapshot::HistogramData *,
                    spm::telem::stageCount>
             stage{};
         for (std::size_t s = 0; s < spm::telem::stageCount; ++s) {
             const char *token = spm::telem::stageName(
                 static_cast<spm::telem::Stage>(s));
-            stage[s] = snap.logHistogram(prefix + "req.stage." +
-                                         token + "_ns");
+            stage[s] = snap.histogram(prefix + "req.stage." + token + "_ns");
             if (stage[s] != nullptr)
                 totalStage += stage[s]->sum;
         }
@@ -428,8 +427,6 @@ class LiveWorkload
             all.gauges.emplace_back(prefix + name, v);
         for (const auto &[name, h] : part.histograms)
             all.histograms.emplace_back(prefix + name, h);
-        for (const auto &[name, h] : part.logHistograms)
-            all.logHistograms.emplace_back(prefix + name, h);
     }
 
     spm::service::MatchService stream;
