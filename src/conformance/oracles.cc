@@ -399,6 +399,11 @@ class DictOracleMatcher : public core::Matcher
                 text.begin() + static_cast<std::ptrdiff_t>(off + take));
             const multipattern::DictHits part =
                 multipattern::feedDictChunk(planes, state, chunk, dict);
+            if (planes.lastHits() != part.totalHits())
+                throw std::runtime_error(
+                    name() + ": chunk hit count " +
+                    std::to_string(planes.lastHits()) + " disagrees with "
+                    "its rows at position " + std::to_string(off));
             for (std::size_t p = 0; p < dict.size(); ++p)
                 for (std::size_t c = 0; c < take; ++c)
                     if (part.bits[p][c] != got.bits[p][off + c])

@@ -11,6 +11,8 @@
 #define SPM_SIMD_X86 0
 #endif
 
+#include "util/logging.hh"
+
 namespace spm::core
 {
 
@@ -511,7 +513,10 @@ std::vector<bool>
 SimdParallelMatcher::match(const std::vector<Symbol> &text,
                            const std::vector<Symbol> &pattern)
 {
-    return unpackResultBits(matchPacked(text, pattern).data(), text.size());
+    std::vector<bool> bits;
+    unpackResultBits(matchPacked(text, pattern).data(), 0, text.size(),
+                     bits);
+    return bits;
 }
 
 std::size_t
@@ -522,22 +527,28 @@ SimdParallelMatcher::arenaBytes() const
            eqIndex.capacity() * sizeof(eqIndex[0]);
 }
 
-std::vector<bool>
-unpackResultBits(const std::uint64_t *packed, std::size_t n)
+std::uint64_t
+unpackResultBits(const std::uint64_t *packed, std::size_t from,
+                 std::size_t n, std::vector<bool> &out)
 {
-    std::vector<bool> out(n, false);
+    spm_assert(from <= n, "unpack start ", from, " past text end ", n);
+    out.assign(n - from, false);
+    std::uint64_t hits = 0;
     const std::size_t nw = packedWords(n);
-    for (std::size_t w = 0; w < nw; ++w) {
+    const std::size_t w0 = from / bitsPerWord;
+    for (std::size_t w = w0; w < nw; ++w) {
         std::uint64_t word = packed[w];
-        const std::size_t base = w * bitsPerWord;
+        if (w == w0)
+            word &= ~std::uint64_t(0) << (from % bitsPerWord);
         while (word != 0) {
             const unsigned i =
                 static_cast<unsigned>(__builtin_ctzll(word));
-            out[base + i] = true;
+            out[w * bitsPerWord + i - from] = true;
             word &= word - 1;
+            ++hits;
         }
     }
-    return out;
+    return hits;
 }
 
 } // namespace spm::core

@@ -220,13 +220,18 @@ class SimdParallelMatcher : public Matcher
 };
 
 /**
- * Expand the packed result stream of an @p n-character text
- * (packedWords(n) words at @p packed, slack bits clear) into the
- * Matcher-interface bit vector. Sparse-aware: words are scanned with
- * count-trailing-zeros, so the cost is O(words + matches), not O(n).
+ * Expand positions [@p from, @p n) of the packed result stream of an
+ * @p n-character text (packedWords(n) words at @p packed, slack bits
+ * clear) into the Matcher-interface bit vector @p out, resized to
+ * n - from entries: out[c] is position from + c. Sparse-aware: only
+ * words from from / 64 on are read, the first with its bits below
+ * @p from masked off, and set bits are found with count-trailing-
+ * zeros, so the cost is O(words + matches), not O(n). Returns the
+ * number of set bits written.
  */
-std::vector<bool> unpackResultBits(const std::uint64_t *packed,
-                                   std::size_t n);
+std::uint64_t unpackResultBits(const std::uint64_t *packed,
+                               std::size_t from, std::size_t n,
+                               std::vector<bool> &out);
 
 } // namespace spm::core
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/reference.hh"
+#include "multipattern/planes.hh"
 
 namespace spm::multipattern
 {
@@ -40,7 +41,7 @@ NaiveDictMatcher::matchAll(const std::vector<Symbol> &text,
 }
 
 DictHits
-feedDictChunk(DictMatcher &m, DictStreamState &state,
+feedDictChunk(BitSlicedDictMatcher &m, DictStreamState &state,
               const std::vector<Symbol> &chunk, const DictPatterns &dict)
 {
     const std::size_t kmax = longestPattern(dict);
@@ -60,14 +61,10 @@ feedDictChunk(DictMatcher &m, DictStreamState &state,
     window.insert(window.end(), state.tail.begin(), state.tail.end());
     window.insert(window.end(), chunk.begin(), chunk.end());
 
-    const DictHits full = m.matchAll(window, dict);
+    // The sweep covers the whole window; extraction reports only the
+    // chunk's positions, straight from the packed rows.
     const std::size_t skip = state.tail.size();
-
-    DictHits out;
-    out.bits.assign(dict.size(), std::vector<bool>(chunk.size(), false));
-    for (std::size_t p = 0; p < dict.size(); ++p)
-        for (std::size_t c = 0; c < chunk.size(); ++c)
-            out.bits[p][c] = full.bits[p][skip + c];
+    DictHits out = m.matchFrom(window, dict, skip);
 
     state.seen += chunk.size();
     if (keep == 0) {

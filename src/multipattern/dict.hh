@@ -75,10 +75,14 @@ struct DictStreamState {
     std::uint64_t seen = 0;
 };
 
+class BitSlicedDictMatcher;
+
 /** Feed one chunk through @p m with windowed replay.  Returns hit
  *  bits for exactly the chunk's positions (bits[p][c] = pattern p
- *  ends at stream position state.seen + c) and advances the carry. */
-DictHits feedDictChunk(DictMatcher &m, DictStreamState &state,
+ *  ends at stream position state.seen + c), extracted from the
+ *  sweep's packed rows from the carried tail's length on, and
+ *  advances the carry.  m.lastHits() counts the chunk's hits. */
+DictHits feedDictChunk(BitSlicedDictMatcher &m, DictStreamState &state,
                        const std::vector<Symbol> &chunk,
                        const DictPatterns &dict);
 

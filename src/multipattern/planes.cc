@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 
 #include "core/simdpar.hh"
 
@@ -17,9 +18,9 @@ constexpr std::uint32_t noTerm = 0xFFFFFFFFu;
 
 } // namespace
 
-DictHits
-BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
-                               const DictPatterns &dict)
+void
+BitSlicedDictMatcher::sweep(const std::vector<Symbol> &text,
+                            const DictPatterns &dict)
 {
     const std::size_t n = text.size();
     const std::size_t nw = core::packedWords(n);
@@ -32,12 +33,10 @@ BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
     sweeps = 0;
     wordOps = 0;
 
-    DictHits hits;
-    hits.bits.assign(p, std::vector<bool>(n, false));
     for (const auto &member : dict)
         patternChars += member.size();
     if (n == 0 || p == 0)
-        return hits;
+        return;
 
     // One transpose covers every pattern, on the same plane code the
     // single-pattern kernel runs.
@@ -198,10 +197,26 @@ BitSlicedDictMatcher::matchAll(const std::vector<Symbol> &text,
                 core::maskLeadSlack(rowArena.data() + pi * nw, nw,
                                     dict[pi].size(), n);
     }
+}
 
-    for (std::size_t pi = 0; pi < p; ++pi)
-        hits.bits[pi] = core::unpackResultBits(rowArena.data() + pi * nw, n);
-    return hits;
+DictHits
+BitSlicedDictMatcher::matchFrom(const std::vector<Symbol> &text,
+                                const DictPatterns &dict, std::size_t from)
+{
+    const std::size_t n = text.size();
+    if (from > n)
+        throw std::invalid_argument(
+            "matchFrom: start past the end of the text");
+    sweep(text, dict);
+
+    const std::size_t nw = core::packedWords(n);
+    hits = 0;
+    DictHits out;
+    out.bits.resize(dict.size());
+    for (std::size_t pi = 0; pi < dict.size(); ++pi)
+        hits += core::unpackResultBits(rowArena.data() + pi * nw, from, n,
+                                       out.bits[pi]);
+    return out;
 }
 
 std::size_t

@@ -46,14 +46,25 @@ class BitSlicedDictMatcher final : public DictMatcher
     }
 
     DictHits matchAll(const std::vector<Symbol> &text,
-                      const DictPatterns &dict) override;
+                      const DictPatterns &dict) override
+    {
+        return matchFrom(text, dict, 0);
+    }
     std::string name() const override
     {
         return dedup ? "dict-planes" : "dict-planes-nodedup";
     }
 
-    /** Counters from the last matchAll, for telemetry and the E19
-     *  dedup ablation. */
+    /** Sweep all of @p text but report only positions [from, n):
+     *  bits[p][c] = pattern p ends at text position from + c.  The
+     *  chunk carry (feedDictChunk) extracts its chunk this way
+     *  straight from the packed rows. */
+    DictHits matchFrom(const std::vector<Symbol> &text,
+                       const DictPatterns &dict, std::size_t from);
+
+    /** Counters from the last match, for telemetry and the E19
+     *  dedup ablation.  lastHits counts the reported positions only. */
+    std::uint64_t lastHits() const { return hits; }
     unsigned lastPlanes() const { return planesBuilt; }
     std::size_t lastEqMasks() const { return eqBuilt; }
     std::size_t lastTrieNodes() const { return trieNodes; }
@@ -69,9 +80,13 @@ class BitSlicedDictMatcher final : public DictMatcher
         std::uint32_t offset;  // end offset d of this factor
     };
 
+    /** Leave every pattern's masked hit row in rowArena. */
+    void sweep(const std::vector<Symbol> &text, const DictPatterns &dict);
+
     const bool dedup;
     const core::SimdIsa tier = core::bestSimdIsa();
 
+    std::uint64_t hits = 0;
     unsigned planesBuilt = 0;
     std::size_t eqBuilt = 0;
     std::size_t trieNodes = 0;

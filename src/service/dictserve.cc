@@ -116,9 +116,9 @@ DictMatchService::feedChunk(DictSession &session,
     ++session.chunksFed;
     chunksCtr.add();
     chunkCharsCtr.add(chunk.size());
-    const std::uint64_t chunkHits = res.hits.totalHits();
-    hitsCtr.add(chunkHits);
-    SPM_THIST(hitsPerChunkHist, static_cast<double>(chunkHits));
+    res.totalHits = engine.lastHits();
+    hitsCtr.add(res.totalHits);
+    SPM_THIST(hitsPerChunkHist, static_cast<double>(res.totalHits));
     SPM_THIST(planesPerSweepHist,
               static_cast<double>(engine.lastPlanes()));
     clock.mark(telem::Stage::Kernel);
@@ -172,7 +172,7 @@ DictMatchService::matchDict(const std::vector<Symbol> &text,
     ChunkResult chunk = feedChunk(session, text);
     res.error = chunk.error;
     res.hits = std::move(chunk.hits);
-    res.totalHits = res.hits.totalHits();
+    res.totalHits = chunk.totalHits;
     return res;
 }
 

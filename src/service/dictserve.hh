@@ -109,6 +109,8 @@ class DictMatchService
         DictError error;
         /** Per-pattern hit bits for exactly the new chunk positions. */
         multipattern::DictHits hits;
+        /** Set bits in hits, counted as they were extracted. */
+        std::uint64_t totalHits = 0;
 
         bool ok() const { return error.ok(); }
     };

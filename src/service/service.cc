@@ -424,6 +424,41 @@ MatchService::validate(const MatchRequest &req) const
     return validateRequest(cfg, req);
 }
 
+namespace
+{
+
+/**
+ * Whether any symbol of @p syms (wild cards skipped when WildOk) is
+ * >= @p sigma.  One branch-free OR over fixed-size blocks, so the
+ * compiler vectorises it; the validators rescan for the first
+ * offender only when this says there is one.  A 16-bit alphabet
+ * wraps sigma to 0, which every symbol fails, as in the rescan.
+ */
+template <bool WildOk>
+bool
+anyOutside(const std::vector<Symbol> &syms, Symbol sigma)
+{
+    if (sigma == 0)
+        return !syms.empty();
+    const Symbol high = static_cast<Symbol>(~(sigma - 1)); // bits >= sigma
+    auto literal = [](Symbol c) {
+        return WildOk && c == wildcardSymbol ? Symbol(0) : c;
+    };
+    constexpr std::size_t block = 64;
+    const Symbol *s = syms.data();
+    const std::size_t n = syms.size();
+    Symbol acc = 0;
+    std::size_t i = 0;
+    for (; i + block <= n; i += block)
+        for (std::size_t j = 0; j < block; ++j)
+            acc = static_cast<Symbol>(acc | literal(s[i + j]));
+    for (; i < n; ++i)
+        acc = static_cast<Symbol>(acc | literal(s[i]));
+    return (acc & high) != 0;
+}
+
+} // namespace
+
 std::optional<ServiceError>
 validatePattern(const ServiceConfig &cfg, const std::vector<Symbol> &pattern,
                 const std::string &label)
@@ -437,6 +472,8 @@ validatePattern(const ServiceConfig &cfg, const std::vector<Symbol> &pattern,
             label + " of " + std::to_string(pattern.size()) +
                 " exceeds limit " + std::to_string(cfg.maxPatternLen));
     const Symbol sigma = static_cast<Symbol>(1u << cfg.alphabetBits);
+    if (!anyOutside<true>(pattern, sigma))
+        return std::nullopt;
     for (std::size_t i = 0; i < pattern.size(); ++i)
         if (pattern[i] != wildcardSymbol && pattern[i] >= sigma)
             return ServiceError::make(
@@ -457,6 +494,8 @@ validateText(const ServiceConfig &cfg, const std::vector<Symbol> &text,
             label + " of " + std::to_string(already_seen + text.size()) +
                 " chars exceeds limit " + std::to_string(cfg.maxTextLen));
     const Symbol sigma = static_cast<Symbol>(1u << cfg.alphabetBits);
+    if (!anyOutside<false>(text, sigma))
+        return std::nullopt;
     for (std::size_t i = 0; i < text.size(); ++i)
         if (text[i] >= sigma)
             return ServiceError::make(

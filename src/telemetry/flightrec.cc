@@ -1,6 +1,6 @@
 #include "telemetry/flightrec.hh"
 
-#include <cstdio>
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -144,24 +144,50 @@ FlightRecorder::clear()
 namespace
 {
 
-/** Hex '.'-joined symbols, '*' wild, '-' empty; matches conformance. */
-std::string
-encodeStream(const std::vector<Symbol> &syms)
+/** Characters one symbol encodes to: its lower-case hex digits, or
+ *  one '*' for a wild card. */
+std::size_t
+symbolChars(Symbol c)
+{
+    if (c == wildcardSymbol)
+        return 1;
+    return 1 + (c > 0xf ? 1 : 0) + (c > 0xff ? 1 : 0) + (c > 0xfff ? 1 : 0);
+}
+
+/** Exact length of encodeStream's output for @p syms. */
+std::size_t
+encodedLength(const std::vector<Symbol> &syms)
 {
     if (syms.empty())
-        return "-";
-    std::string out;
-    char buf[20];
+        return 1;
+    std::size_t len = syms.size() - 1; // the '.' separators
+    for (Symbol c : syms)
+        len += symbolChars(c);
+    return len;
+}
+
+/** Hex '.'-joined symbols, '*' wild, '-' empty; matches conformance.
+ *  Writes encodedLength(syms) characters at @p out; returns the end. */
+char *
+encodeStream(const std::vector<Symbol> &syms, char *out)
+{
+    static constexpr char hexDigit[] = "0123456789abcdef";
+    if (syms.empty()) {
+        *out++ = '-';
+        return out;
+    }
     for (std::size_t i = 0; i < syms.size(); ++i) {
         if (i != 0)
-            out += '.';
+            *out++ = '.';
         if (syms[i] == wildcardSymbol) {
-            out += '*';
-        } else {
-            std::snprintf(buf, sizeof(buf), "%llx",
-                          static_cast<unsigned long long>(syms[i]));
-            out += buf;
+            *out++ = '*';
+            continue;
         }
+        const std::size_t digits = symbolChars(syms[i]);
+        unsigned v = syms[i];
+        for (std::size_t d = digits; d-- > 0; v >>= 4)
+            out[d] = hexDigit[v & 0xfu];
+        out += digits;
     }
     return out;
 }
@@ -172,8 +198,17 @@ std::string
 literalCaseId(BitWidth bits, const std::vector<Symbol> &pattern,
               const std::vector<Symbol> &text)
 {
-    return "l1:" + std::to_string(bits) + ":" + encodeStream(pattern) +
-           ":" + encodeStream(text);
+    // Sized exactly up front: a retained ID costs one allocation of
+    // its own length, however long the text.
+    const std::string head = "l1:" + std::to_string(bits) + ":";
+    std::string id(head.size() + encodedLength(pattern) + 1 +
+                       encodedLength(text),
+                   '\0');
+    char *out = std::copy(head.begin(), head.end(), id.data());
+    out = encodeStream(pattern, out);
+    *out++ = ':';
+    encodeStream(text, out);
+    return id;
 }
 
 } // namespace spm::telem

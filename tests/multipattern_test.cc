@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -257,6 +258,7 @@ TEST(Chunked, BitSlicedMatchesOneShotUnderRandomSplits)
                 text.begin() + static_cast<std::ptrdiff_t>(at),
                 text.begin() + static_cast<std::ptrdiff_t>(at + len));
             const DictHits part = feedDictChunk(planes, state, chunk, dict);
+            EXPECT_EQ(planes.lastHits(), part.totalHits());
             for (std::size_t p = 0; p < dict.size(); ++p)
                 stitched.bits[p].insert(stitched.bits[p].end(),
                                         part.bits[p].begin(),
@@ -266,6 +268,92 @@ TEST(Chunked, BitSlicedMatchesOneShotUnderRandomSplits)
         ASSERT_EQ(stitched, oneShot) << "round " << round;
         EXPECT_EQ(state.seen, static_cast<std::uint64_t>(n));
     }
+}
+
+TEST(Chunked, CarryCoversEveryTailLengthAndWordOffset)
+{
+    // kmax = 1 carries nothing; kmax = 64 carries 63 (skip % 64 = 63
+    // once the tail is full); kmax = 65 carries 64, so extraction
+    // starts one whole word in.  kmax single-character chunks first
+    // grow the tail through every length 0..kmax-1, then the chunk
+    // lengths straddle a word (1, 63, 64, 65, 4096), then random.
+    Rng rng(0x19A6u);
+    BitSlicedDictMatcher planes;
+    NaiveDictMatcher naive;
+    for (const std::size_t kmax : {std::size_t(1), std::size_t(9),
+                                   std::size_t(64), std::size_t(65)}) {
+        std::vector<std::size_t> lengths(kmax, 1);
+        for (std::size_t len : {63, 64, 65, 4096, 1})
+            lengths.push_back(len);
+        for (int i = 0; i < 12; ++i)
+            lengths.push_back(1 + rng.nextBelow(130));
+        std::size_t n = 0;
+        for (std::size_t len : lengths)
+            n += len;
+
+        const auto text = randomText(rng, n, 2);
+        DictPatterns dict = randomDict(rng, text, 10, kmax, 2, 10);
+        // A full-length member cut from the text: a guaranteed hit at
+        // the longest reach the carry must cover.
+        const std::size_t cut = rng.nextBelow(n - kmax + 1);
+        dict.emplace_back(text.begin() + static_cast<std::ptrdiff_t>(cut),
+                          text.begin() +
+                              static_cast<std::ptrdiff_t>(cut + kmax));
+        ASSERT_EQ(longestPattern(dict), kmax);
+        const DictHits oneShot = naive.matchAll(text, dict);
+
+        DictStreamState state;
+        DictHits stitched;
+        stitched.bits.assign(dict.size(), {});
+        std::size_t at = 0;
+        for (std::size_t len : lengths) {
+            ASSERT_EQ(state.tail.size(), std::min(at, kmax - 1));
+            const std::vector<Symbol> chunk(
+                text.begin() + static_cast<std::ptrdiff_t>(at),
+                text.begin() + static_cast<std::ptrdiff_t>(at + len));
+            const DictHits part = feedDictChunk(planes, state, chunk, dict);
+            EXPECT_EQ(planes.lastHits(), part.totalHits())
+                << "kmax " << kmax << " at " << at;
+            for (std::size_t p = 0; p < dict.size(); ++p) {
+                ASSERT_EQ(part.bits[p].size(), len);
+                stitched.bits[p].insert(stitched.bits[p].end(),
+                                        part.bits[p].begin(),
+                                        part.bits[p].end());
+            }
+            at += len;
+        }
+        ASSERT_EQ(stitched, oneShot) << "kmax " << kmax;
+        EXPECT_GT(oneShot.totalHits(), 0u);
+    }
+}
+
+TEST(BitSlicedDict, MatchFromReportsTheSuffixOfMatchAll)
+{
+    Rng rng(0x19A7u);
+    BitSlicedDictMatcher planes;
+    for (int round = 0; round < 30; ++round) {
+        const std::size_t n = 1 + rng.nextBelow(300);
+        const auto text = randomText(rng, n, 2);
+        const auto dict =
+            randomDict(rng, text, 1 + rng.nextBelow(12), 9, 2, 15);
+        const DictHits all = planes.matchAll(text, dict);
+        EXPECT_EQ(planes.lastHits(), all.totalHits());
+        // Every word offset of the start, including the very end.
+        for (std::size_t from : {std::size_t(0), std::size_t(1),
+                                 std::min<std::size_t>(63, n),
+                                 std::min<std::size_t>(64, n),
+                                 std::min<std::size_t>(65, n),
+                                 rng.nextBelow(n + 1), n}) {
+            const DictHits part = planes.matchFrom(text, dict, from);
+            DictHits want = all;
+            for (auto &row : want.bits)
+                row.erase(row.begin(),
+                          row.begin() + static_cast<std::ptrdiff_t>(from));
+            ASSERT_EQ(part, want) << "round " << round << " from " << from;
+            EXPECT_EQ(planes.lastHits(), want.totalHits());
+        }
+    }
+    EXPECT_THROW(planes.matchFrom({1, 2}, {{1}}, 3), std::invalid_argument);
 }
 
 TEST(Chunked, AhoCorasickStreamStateMatchesOneShot)

@@ -85,8 +85,10 @@ TEST(DictServe, OneShotMatchesNaiveReference)
     };
     const auto res = svc.matchDict(text, dict);
     ASSERT_TRUE(res.ok()) << res.error.toString();
-    EXPECT_EQ(res.hits, naive.matchAll(text, dict));
-    EXPECT_EQ(res.totalHits, res.hits.totalHits());
+    const DictHits want = naive.matchAll(text, dict);
+    EXPECT_EQ(res.hits, want);
+    EXPECT_EQ(res.totalHits, want.totalHits());
+    EXPECT_GT(res.totalHits, 0u);
 }
 
 TEST(DictServe, RejectedRequestsCarryTheTypedError)
@@ -115,6 +117,7 @@ TEST(DictServe, ChunkedSessionIsBitIdenticalToOneShot)
     };
     const auto oneShot = oneShotSvc.matchDict(text, dict);
     ASSERT_TRUE(oneShot.ok());
+    const DictHits want = NaiveDictMatcher().matchAll(text, dict);
 
     DictError err;
     DictSession session = chunkedSvc.openSession(dict, err);
@@ -132,13 +135,19 @@ TEST(DictServe, ChunkedSessionIsBitIdenticalToOneShot)
             text.begin() + static_cast<std::ptrdiff_t>(at + len));
         const auto part = chunkedSvc.feedChunk(session, chunk);
         ASSERT_TRUE(part.ok()) << part.error.toString();
-        for (std::size_t p = 0; p < dict.size(); ++p)
+        std::uint64_t chunkHits = 0;
+        for (std::size_t p = 0; p < dict.size(); ++p) {
             stitched.bits[p].insert(stitched.bits[p].end(),
                                     part.hits.bits[p].begin(),
                                     part.hits.bits[p].end());
+            for (std::size_t c = at; c < at + len; ++c)
+                chunkHits += want.bits[p][c] ? 1 : 0;
+        }
+        EXPECT_EQ(part.totalHits, chunkHits) << "chunk at " << at;
         at += len;
     }
     EXPECT_EQ(stitched, oneShot.hits);
+    EXPECT_EQ(oneShot.totalHits, want.totalHits());
     EXPECT_EQ(session.streamed(), text.size());
 }
 

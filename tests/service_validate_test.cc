@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "service/batch.hh"
@@ -99,6 +100,43 @@ TEST(ValidateHelpers, RequestComposesBothPrimitives)
     err = validateRequest(cfg, req);
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->code, ErrorCode::OversizedRequest);
+}
+
+TEST(ValidateHelpers, FirstOffenderDetailIsExact)
+{
+    // 200 chars span three 64-symbol blocks of the fast pass plus a
+    // tail; the detail names the first offender wherever it sits.
+    const ServiceConfig cfg = smallConfig();
+    for (std::size_t at : {std::size_t(0), std::size_t(100),
+                           std::size_t(199)}) {
+        std::vector<Symbol> text(200, Symbol(7));
+        text[at] = Symbol(8);
+        if (at + 1 < text.size())
+            text.back() = wildcardSymbol; // a later offender is not named
+        auto err = validateText(cfg, text, 0, "chunk");
+        ASSERT_TRUE(err.has_value());
+        EXPECT_EQ(err->code, ErrorCode::AlphabetOverflow);
+        EXPECT_EQ(err->detail, "chunk[" + std::to_string(at) +
+                                   "]=8 outside alphabet of 8");
+    }
+    std::vector<Symbol> wild(130, Symbol(0));
+    wild[129] = wildcardSymbol;
+    auto err = validateText(cfg, wild);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->detail, "text[129]=65535 outside alphabet of 8");
+
+    // Patterns skip wild cards in both passes.
+    EXPECT_FALSE(validatePattern(cfg, std::vector<Symbol>(64, wildcardSymbol)));
+    for (std::size_t at : {std::size_t(0), std::size_t(31),
+                           std::size_t(63)}) {
+        std::vector<Symbol> pattern(64, wildcardSymbol);
+        pattern[at] = Symbol(12);
+        auto perr = validatePattern(cfg, pattern, "dict[3]");
+        ASSERT_TRUE(perr.has_value());
+        EXPECT_EQ(perr->code, ErrorCode::AlphabetOverflow);
+        EXPECT_EQ(perr->detail, "dict[3][" + std::to_string(at) +
+                                    "]=12 outside alphabet of 8");
+    }
 }
 
 /** The same three violations, through every front end. */

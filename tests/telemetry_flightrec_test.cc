@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "conformance/case.hh"
 #include "telemetry/flightrec.hh"
+#include "util/rng.hh"
 
 namespace spm::telem
 {
@@ -179,6 +183,64 @@ TEST(LiteralCaseId, RoundTripsThroughDecodeCase)
     EXPECT_EQ(c->bits, 2);
     EXPECT_EQ(c->pattern, pattern);
     EXPECT_EQ(c->text, text);
+}
+
+/** The case-ID encoder as first written, one snprintf per symbol:
+ *  the byte-for-byte reference for the table-driven one. */
+std::string
+snprintfStream(const std::vector<Symbol> &syms)
+{
+    if (syms.empty())
+        return "-";
+    std::string out;
+    char buf[20];
+    for (std::size_t i = 0; i < syms.size(); ++i) {
+        if (i != 0)
+            out += '.';
+        if (syms[i] == wildcardSymbol) {
+            out += '*';
+        } else {
+            std::snprintf(buf, sizeof(buf), "%llx",
+                          static_cast<unsigned long long>(syms[i]));
+            out += buf;
+        }
+    }
+    return out;
+}
+
+TEST(LiteralCaseId, TableEncoderMatchesSnprintfOnRandomStreams)
+{
+    // Every digit-count boundary, the largest literal and the wild card.
+    const std::vector<Symbol> edges = {0,      0xf,    0x10,  0xff,
+                                       0x100,  0xfff,  0x1000, 0xfffe,
+                                       wildcardSymbol};
+    Rng rng(0xCA5Eu);
+    for (int round = 0; round < 200; ++round) {
+        const BitWidth bits = static_cast<BitWidth>(1 + rng.nextBelow(16));
+        std::vector<Symbol> streams[2];
+        for (auto &syms : streams) {
+            // Round 0 covers the empty pattern and text.
+            const std::size_t n = round == 0 ? 0 : rng.nextBelow(40);
+            for (std::size_t i = 0; i < n; ++i)
+                syms.push_back(
+                    rng.nextBelow(2) == 0
+                        ? edges[rng.nextBelow(edges.size())]
+                        : static_cast<Symbol>(rng.nextBelow(0xffff)));
+        }
+        const std::vector<Symbol> &pattern = streams[0];
+        const std::vector<Symbol> &text = streams[1];
+        const std::string id = literalCaseId(bits, pattern, text);
+        ASSERT_EQ(id, "l1:" + std::to_string(bits) + ":" +
+                          snprintfStream(pattern) + ":" +
+                          snprintfStream(text))
+            << "round " << round;
+        const std::optional<conformance::Case> c =
+            conformance::decodeCase(id);
+        ASSERT_TRUE(c.has_value()) << id;
+        EXPECT_EQ(c->bits, bits);
+        EXPECT_EQ(c->pattern, pattern);
+        EXPECT_EQ(c->text, text);
+    }
 }
 
 TEST(FlightRecorder, GlobalIsUsable)
