@@ -18,6 +18,16 @@ fnvMix(std::uint64_t &h, std::uint64_t v)
     }
 }
 
+/** @p v with its bit order reversed (bit 0 <-> bit 63). */
+std::uint64_t
+reverseBits(std::uint64_t v)
+{
+    v = ((v >> 1) & 0x5555555555555555ULL) | ((v & 0x5555555555555555ULL) << 1);
+    v = ((v >> 2) & 0x3333333333333333ULL) | ((v & 0x3333333333333333ULL) << 2);
+    v = ((v >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((v & 0x0F0F0F0F0F0F0F0FULL) << 4);
+    return __builtin_bswap64(v);
+}
+
 } // namespace
 
 std::uint64_t
@@ -29,20 +39,17 @@ Checkpoint::digest() const
     fnvMix(h, beats);
     for (Symbol s : tail)
         fnvMix(h, s);
-    // Pack the emitted bits 64 at a time so the digest price stays
-    // negligible next to the match itself.
-    std::uint64_t word = 0;
-    std::size_t fill = 0;
-    for (bool b : emitted) {
-        word = (word << 1) | (b ? 1 : 0);
-        if (++fill == 64) {
-            fnvMix(h, word);
-            word = 0;
-            fill = 0;
-        }
-    }
-    if (fill > 0)
-        fnvMix(h, word | (std::uint64_t(1) << fill));
+    // The emitted bits, 64 per mix with the first position in the
+    // most significant bit, and a final partial word of `fill`
+    // positions right-aligned under a stop bit -- the order the digest
+    // has always had, so journals stay byte-identical. The packed words
+    // hold position 0 in bit 0, hence the reversal.
+    const std::size_t full = emitted.size() / 64;
+    for (std::size_t w = 0; w < full; ++w)
+        fnvMix(h, reverseBits(emitted.data()[w]));
+    if (const std::size_t fill = emitted.size() % 64; fill > 0)
+        fnvMix(h, (reverseBits(emitted.data()[full]) >> (64 - fill)) |
+                      (std::uint64_t(1) << fill));
     return h;
 }
 

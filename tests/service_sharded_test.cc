@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "core/reference.hh"
+#include "core/simdpar.hh"
 #include "service/service.hh"
 #include "service/sharded.hh"
 #include "telemetry/span.hh"
 #include "tests/helpers.hh"
+#include "util/rng.hh"
 
 namespace spm::service
 {
@@ -366,6 +368,75 @@ TEST(ShardedService, RepeatedServesAreDeterministic)
     EXPECT_EQ(a.beats, b.beats);
     EXPECT_EQ(crit_a, sharded.lastCriticalBeats());
     EXPECT_EQ(total_a, sharded.lastTotalBeats());
+}
+
+std::vector<std::unique_ptr<ServiceBackend>>
+simdLadder(const ServiceConfig &)
+{
+    std::vector<std::unique_ptr<ServiceBackend>> ladder;
+    ladder.push_back(std::make_unique<MatcherBackend>(
+        std::make_unique<core::SimdParallelMatcher>()));
+    return ladder;
+}
+
+TEST(ShardedService, PackedStitchAtUnalignedShapes)
+{
+    // Texts that are not multiples of 64 x threads, chunks that are not
+    // multiples of 64, patterns from 1 to 65 characters: every slice
+    // boundary, warm-up drop and right extension lands at an odd bit
+    // offset of the packed stitch and overlap compare.
+    core::ReferenceMatcher ref;
+    for (const unsigned threads : {3u, 4u}) {
+        for (const std::size_t chunk : {37u, 100u}) {
+            ShardedConfig cfg = smallShardConfig(threads, 2);
+            cfg.base.chunkChars = chunk;
+            cfg.base.maxPatternLen = 65;
+            cfg.minShardChars = 90;
+            ShardedMatchService sharded(cfg, simdLadder);
+            for (const std::size_t n : {777u, 1000u, 4097u}) {
+                for (const std::size_t k : {1u, 2u, 7u, 63u, 64u, 65u}) {
+                    const auto req = randomRequest(
+                        0x5717 + n * 131 + k * 7 + threads, 2, n, k, 15);
+                    const std::vector<bool> want =
+                        ref.match(req.text, req.pattern);
+                    const MatchResponse resp = sharded.serve(req);
+                    ASSERT_TRUE(resp.ok()) << resp.error.detail;
+                    EXPECT_GE(sharded.lastShards(), 2u);
+                    EXPECT_EQ(resp.result, want)
+                        << "threads=" << threads << " chunk=" << chunk
+                        << " n=" << n << " k=" << k;
+                }
+            }
+            const telem::Snapshot snap = sharded.metricsSnapshot();
+            EXPECT_GT(snap.counterValue("sharded.overlap_checks"), 0u);
+            EXPECT_EQ(snap.counterValue("sharded.overlap_mismatches"), 0u);
+        }
+    }
+}
+
+TEST(ShardedService, SixteenBitAlphabetServes)
+{
+    ShardedConfig cfg = smallShardConfig(4, 16);
+    ShardedMatchService sharded(cfg, simdLadder);
+    Rng rng(0x16B);
+    MatchRequest req;
+    req.id = 16;
+    req.pattern = {0xFFFE, wildcardSymbol, 300};
+    for (std::size_t i = 0; i < 500; ++i)
+        req.text.push_back(
+            i % 17 == 0 ? Symbol(0xFFFE)
+                        : i % 17 == 2 ? Symbol(300)
+                                      : static_cast<Symbol>(rng.nextBelow(
+                                            wildcardSymbol)));
+    const MatchResponse resp = sharded.serve(req);
+    ASSERT_TRUE(resp.ok()) << resp.error.detail;
+    EXPECT_GE(sharded.lastShards(), 2u);
+    EXPECT_EQ(resp.result,
+              core::ReferenceMatcher().match(req.text, req.pattern));
+
+    req.text[250] = wildcardSymbol;
+    const MatchResponse bad = sharded.serve(req);
+    EXPECT_EQ(bad.error.code, ErrorCode::AlphabetOverflow);
 }
 
 } // namespace
