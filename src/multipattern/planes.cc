@@ -23,7 +23,7 @@ BitSlicedDictMatcher::sweep(const std::vector<Symbol> &text,
                             const DictPatterns &dict)
 {
     const std::size_t n = text.size();
-    const std::size_t nw = core::packedWords(n);
+    const std::size_t nw = packedWords(n);
     const std::size_t p = dict.size();
 
     planesBuilt = 0;
@@ -209,12 +209,12 @@ BitSlicedDictMatcher::matchFrom(const std::vector<Symbol> &text,
             "matchFrom: start past the end of the text");
     sweep(text, dict);
 
-    const std::size_t nw = core::packedWords(n);
+    const std::size_t nw = packedWords(n);
     hits = 0;
     DictHits out;
     out.bits.resize(dict.size());
     for (std::size_t pi = 0; pi < dict.size(); ++pi)
-        hits += core::unpackResultBits(rowArena.data() + pi * nw, from, n,
+        hits += unpackResultBits(rowArena.data() + pi * nw, from, n,
                                        out.bits[pi]);
     return out;
 }

@@ -7,6 +7,41 @@
 namespace spm
 {
 
+namespace
+{
+
+/** The low @p n bits set (n <= 64). */
+std::uint64_t
+lowMask(std::size_t n)
+{
+    return n >= 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << n) - 1;
+}
+
+} // namespace
+
+std::uint64_t
+unpackResultBits(const std::uint64_t *packed, std::size_t from,
+                 std::size_t n, std::vector<bool> &out)
+{
+    spm_assert(from <= n, "unpack start ", from, " past text end ", n);
+    out.assign(n - from, false);
+    std::uint64_t hits = 0;
+    const std::size_t nw = packedWords(n);
+    const std::size_t w0 = from / 64;
+    for (std::size_t w = w0; w < nw; ++w) {
+        std::uint64_t word = packed[w];
+        if (w == w0)
+            word &= ~std::uint64_t(0) << (from % 64);
+        while (word != 0) {
+            const auto i = static_cast<std::size_t>(std::countr_zero(word));
+            out[w * 64 + i - from] = true;
+            word &= word - 1;
+            ++hits;
+        }
+    }
+    return hits;
+}
+
 BitVec::BitVec(std::size_t n, bool value)
 {
     resize(n, value);
@@ -21,6 +56,16 @@ BitVec::fromString(const std::string &bits)
                    "BitVec::fromString: bad character '", c, "'");
         v.pushBack(c == '1');
     }
+    return v;
+}
+
+BitVec
+BitVec::pack(const std::vector<bool> &bits)
+{
+    BitVec v(bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        if (bits[i])
+            v.words[wordIndex(i)] |= bitMask(i);
     return v;
 }
 
@@ -57,6 +102,66 @@ BitVec::clear()
 {
     words.clear();
     numBits = 0;
+}
+
+void
+BitVec::assignWords(const std::uint64_t *packed, std::size_t n)
+{
+    words.assign(packed, packed + packedWords(n));
+    numBits = n;
+    trimTail();
+}
+
+std::uint64_t
+BitVec::wordAt(std::size_t pos) const
+{
+    const std::size_t q = wordIndex(pos);
+    const unsigned r = static_cast<unsigned>(pos % bitsPerWord);
+    if (q >= words.size())
+        return 0;
+    std::uint64_t v = words[q] >> r;
+    if (r != 0 && q + 1 < words.size())
+        v |= words[q + 1] << (bitsPerWord - r);
+    return v;
+}
+
+void
+BitVec::append(const BitVec &src, std::size_t from, std::size_t count)
+{
+    spm_assert(&src != this, "BitVec::append from itself");
+    spm_assert(from <= src.numBits && count <= src.numBits - from,
+               "BitVec::append: range [", from, ", ", from + count,
+               ") past source end ", src.numBits);
+    if (count == 0)
+        return;
+    // Every 64 source bits land in the low bits of one destination word
+    // above the current fill and the high bits of the next.
+    const unsigned off = static_cast<unsigned>(numBits % bitsPerWord);
+    std::size_t dw = wordIndex(numBits);
+    numBits += count;
+    words.resize(packedWords(numBits), 0);
+    for (std::size_t done = 0; done < count; done += bitsPerWord, ++dw) {
+        const std::uint64_t v =
+            src.wordAt(from + done) & lowMask(count - done);
+        words[dw] |= v << off;
+        if (off != 0 && dw + 1 < words.size())
+            words[dw + 1] |= v >> (bitsPerWord - off);
+    }
+}
+
+bool
+BitVec::rangeEquals(std::size_t pos, const BitVec &other,
+                    std::size_t other_pos, std::size_t count) const
+{
+    spm_assert(pos <= numBits && count <= numBits - pos &&
+                   other_pos <= other.numBits &&
+                   count <= other.numBits - other_pos,
+               "BitVec::rangeEquals: range past a vector end");
+    for (std::size_t done = 0; done < count; done += bitsPerWord)
+        if (((wordAt(pos + done) ^ other.wordAt(other_pos + done)) &
+             lowMask(count - done)) != 0)
+            return false;
+    return true;
 }
 
 void

@@ -203,5 +203,26 @@ TEST(SimdParallel, PackedWordsAgreeAndEffortIsBounded)
     }
 }
 
+TEST(SimdParallel, MatchIntoAgreesWithMatch)
+{
+    // The packed stream straight from the arena, the reference's
+    // in-place evaluation and the base class's pack of match() agree.
+    SimdParallelMatcher simd;
+    ReferenceMatcher ref;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const auto w =
+            test::makeShapedWorkload(seed, 2, 37 * seed + 5, 1 + seed % 9, 20);
+        const std::vector<bool> want = ref.match(w.text, w.pattern);
+        BitVec got(3, true); // matchInto must overwrite
+        simd.matchInto(w.text, w.pattern, got);
+        EXPECT_EQ(got, BitVec::pack(want)) << "seed " << seed;
+        ref.matchInto(w.text, w.pattern, got);
+        EXPECT_EQ(got, BitVec::pack(want)) << "seed " << seed;
+        got = BitVec(5, true);
+        simd.Matcher::matchInto(w.text, w.pattern, got);
+        EXPECT_EQ(got, BitVec::pack(want)) << "seed " << seed;
+    }
+}
+
 } // namespace
 } // namespace spm::core
