@@ -37,12 +37,12 @@ echo "== tsan: configure =="
 cmake --preset tsan
 echo "== tsan: build =="
 cmake --build --preset tsan -j "${jobs}" \
-    --target service_sharded_test service_test service_chaos_test \
-    multipattern_test service_dict_test conformance_corpus_test \
-    telemetry_metrics_test telemetry_reqobs_test
+    --target service_sharded_test service_sharded_alloc_test service_test \
+    service_chaos_test multipattern_test service_dict_test \
+    conformance_corpus_test telemetry_metrics_test telemetry_reqobs_test
 echo "== tsan: test =="
 ctest --test-dir build-tsan --timeout 240 --output-on-failure \
-    -R 'service_sharded_test|service_test|service_chaos_test|multipattern_test|service_dict_test|conformance_corpus_test|telemetry_metrics_test|telemetry_reqobs_test'
+    -R 'service_sharded_test|service_sharded_alloc_test|service_test|service_chaos_test|multipattern_test|service_dict_test|conformance_corpus_test|telemetry_metrics_test|telemetry_reqobs_test'
 
 # Conformance legs on the plain build: a time-boxed differential fuzz
 # sweep across the full oracle registry, and the mutation self-check --

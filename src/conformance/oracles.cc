@@ -1,6 +1,7 @@
 #include "conformance/oracles.hh"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "multipattern/acmatch.hh"
 #include "multipattern/dict.hh"
 #include "multipattern/planes.hh"
+#include "service/service.hh"
 #include "service/sharded.hh"
 #include "util/rng.hh"
 #include "util/strings.hh"
@@ -25,18 +27,34 @@ namespace spm::conformance
 namespace
 {
 
+/** A one-rung ladder on the forced-scalar SIMD kernel. */
+std::vector<std::unique_ptr<service::ServiceBackend>>
+scalarLadder()
+{
+    std::vector<std::unique_ptr<service::ServiceBackend>> ladder;
+    ladder.push_back(std::make_unique<service::MatcherBackend>(
+        std::make_unique<core::SimdParallelMatcher>(core::SimdIsa::Scalar)));
+    return ladder;
+}
+
 /**
- * The sharded service as a Matcher. One service per alphabet width is
+ * A serving front end as a Matcher. One service per alphabet width is
  * built lazily and reused, so worker threads are spawned once per
- * width rather than once per case. Service-level failures (which the
- * Matcher interface cannot express) become exceptions the differ
+ * width rather than once per case. Every service streams in 48-char
+ * chunks with the per-chunk cross-check and journal off: the differ
+ * already reference-checks the output. Service-level failures (which
+ * the Matcher interface cannot express) become exceptions the differ
  * reports as oracle errors.
  */
-class ShardedOracleMatcher : public core::Matcher
+template <class Service>
+class ServiceOracleMatcher : public core::Matcher
 {
   public:
-    explicit ShardedOracleMatcher(unsigned thread_count)
-        : threads(thread_count)
+    using Factory = std::function<std::unique_ptr<Service>(
+        const service::ServiceConfig &)>;
+
+    ServiceOracleMatcher(std::string oracle_name, Factory factory)
+        : label(std::move(oracle_name)), make(std::move(factory))
     {
     }
 
@@ -50,57 +68,54 @@ class ShardedOracleMatcher : public core::Matcher
         BitWidth bits = std::max(requiredBits(text),
                                  requiredBits(pattern));
         bits = std::clamp<BitWidth>(bits, 1, 16);
-        service::ShardedMatchService &svc = serviceFor(bits);
         service::MatchRequest req;
         req.text = text;
         req.pattern = pattern;
-        const service::MatchResponse resp = svc.serve(req);
+        const service::MatchResponse resp = serviceFor(bits).serve(req);
         if (!resp.ok())
             throw std::runtime_error(name() + ": " + resp.error.detail);
         return resp.result;
     }
 
-    std::string name() const override
-    {
-        return "service-sharded-" + std::to_string(threads) + "t";
-    }
+    std::string name() const override { return label; }
 
   private:
-    service::ShardedMatchService &serviceFor(BitWidth bits)
+    Service &serviceFor(BitWidth bits)
     {
         for (auto &entry : services)
             if (entry.first == bits)
                 return *entry.second;
-        service::ShardedConfig cfg;
-        cfg.base.alphabetBits = bits;
-        cfg.base.maxTextLen = 1 << 20;
-        cfg.base.maxPatternLen = 512;
-        cfg.base.chunkChars = 48;
-        // The differ already reference-checks the stitched output;
-        // skip the per-chunk cross-check and journal for speed.
-        cfg.base.crossCheck = false;
-        cfg.base.journalEnabled = false;
-        cfg.threads = threads;
-        cfg.minShardChars = 24; // modest texts still split all ways
-        auto svc = std::make_unique<service::ShardedMatchService>(
-            cfg, [](const service::ServiceConfig &) {
-                std::vector<std::unique_ptr<service::ServiceBackend>>
-                    ladder;
-                ladder.push_back(
-                    std::make_unique<service::MatcherBackend>(
-                        std::make_unique<core::SimdParallelMatcher>(
-                            core::SimdIsa::Scalar)));
-                return ladder;
-            });
-        services.emplace_back(bits, std::move(svc));
+        service::ServiceConfig cfg;
+        cfg.alphabetBits = bits;
+        cfg.maxTextLen = 1 << 20;
+        cfg.maxPatternLen = 512;
+        cfg.chunkChars = 48;
+        cfg.crossCheck = false;
+        cfg.journalEnabled = false;
+        services.emplace_back(bits, make(cfg));
         return *services.back().second;
     }
 
-    unsigned threads;
-    std::vector<std::pair<
-        BitWidth, std::unique_ptr<service::ShardedMatchService>>>
-        services;
+    std::string label;
+    Factory make;
+    std::vector<std::pair<BitWidth, std::unique_ptr<Service>>> services;
 };
+
+/**
+ * The streaming service on its own. The sharded oracles serve each
+ * slice as one window under the same settings, so this is the oracle
+ * on the chunk carry: the k-1 tail re-presented per window and the
+ * word-shift append of each chunk's bits.
+ */
+std::unique_ptr<core::Matcher>
+makeStreamOracle()
+{
+    return std::make_unique<ServiceOracleMatcher<service::MatchService>>(
+        "service-stream-chunk48", [](const service::ServiceConfig &base) {
+            return std::make_unique<service::MatchService>(base,
+                                                           scalarLadder());
+        });
+}
 
 /**
  * The batch matcher behind the Matcher interface. The case text rides
@@ -474,7 +489,19 @@ entry(std::unique_ptr<core::Matcher> m, std::size_t max_text,
 std::unique_ptr<core::Matcher>
 makeShardedOracle(unsigned threads)
 {
-    return std::make_unique<ShardedOracleMatcher>(threads);
+    return std::make_unique<
+        ServiceOracleMatcher<service::ShardedMatchService>>(
+        "service-sharded-" + std::to_string(threads) + "t",
+        [threads](const service::ServiceConfig &base) {
+            service::ShardedConfig cfg;
+            cfg.base = base;
+            cfg.threads = threads;
+            cfg.minShardChars = 24; // modest texts still split all ways
+            return std::make_unique<service::ShardedMatchService>(
+                cfg, [](const service::ServiceConfig &) {
+                    return scalarLadder();
+                });
+        });
 }
 
 std::unique_ptr<core::Matcher>
@@ -539,6 +566,9 @@ makeAllOracles(bool with_gate)
         oracles.push_back(
             entry(std::make_unique<LevelizedGateMatcher>(), 48, 6, 3, 8));
     }
+    // The streaming service's chunk carry, then the sharded service,
+    // whose slices are one window each under the same settings.
+    oracles.push_back(entry(makeStreamOracle(), 1 << 16, 256, 16, 1));
     for (const unsigned threads : {1u, 2u, 4u})
         oracles.push_back(
             entry(makeShardedOracle(threads), 1 << 16, 256, 16, 1));

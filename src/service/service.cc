@@ -115,15 +115,21 @@ StreamSession::step()
         std::min(cfg.chunkChars, n - cp.offset);
 
     // The window re-presents the k-1 checkpointed tail characters so
-    // the first result bit of this chunk sees its full substring. The
-    // buffer is a session member: its capacity survives across chunks
-    // so the steady state allocates nothing per chunk.
-    window.assign(cp.tail.begin(), cp.tail.end());
-    window.insert(window.end(),
-                  request.text.begin() +
-                      static_cast<std::ptrdiff_t>(cp.offset),
-                  request.text.begin() +
-                      static_cast<std::ptrdiff_t>(cp.offset + chunk));
+    // the first result bit of this chunk sees its full substring. A
+    // chunk that is the whole request has no tail, so the request text
+    // is the window as it stands. Otherwise the window is assembled in
+    // a session member whose capacity survives across chunks, so the
+    // steady state allocates nothing per chunk.
+    const bool whole = cp.offset == 0 && chunk == n;
+    if (!whole) {
+        window.assign(cp.tail.begin(), cp.tail.end());
+        window.insert(window.end(),
+                      request.text.begin() +
+                          static_cast<std::ptrdiff_t>(cp.offset),
+                      request.text.begin() +
+                          static_cast<std::ptrdiff_t>(cp.offset + chunk));
+    }
+    const std::vector<Symbol> &win = whole ? request.text : window;
 
     SPM_TSPAN_NAMED(chunk_span, "service.chunk", telem::cat::service,
                     response.beats, request.id);
@@ -132,7 +138,7 @@ StreamSession::step()
     // and pattern as a self-contained conformance case.
     auto chunkCaseId = [&] {
         return telem::literalCaseId(cfg.alphabetBits, request.pattern,
-                                    window);
+                                    win);
     };
     auto flightEvent = [&](telem::FlightKind kind) {
         telem::FlightEvent ev;
@@ -161,7 +167,7 @@ StreamSession::step()
             continue;
         }
 
-        Beat budget = windowBudget(window.size());
+        Beat budget = windowBudget(win.size());
         if (request.deadlineBeats > 0) {
             if (response.beats >= request.deadlineBeats) {
                 fail(ErrorCode::DeadlineExceeded,
@@ -177,7 +183,7 @@ StreamSession::step()
 
         service.dog.arm(budget);
         WindowResult wr =
-            backend.matchWindow(window, request.pattern, service.dog);
+            backend.matchWindow(win, request.pattern, service.dog);
         response.beats += wr.beats;
         clock.mark(telem::Stage::Kernel);
         clock.addBeats(wr.beats);
@@ -224,7 +230,7 @@ StreamSession::step()
         }
 
         if (cfg.crossCheck) {
-            core::ReferenceMatcher().matchInto(window, request.pattern,
+            core::ReferenceMatcher().matchInto(win, request.pattern,
                                                expect);
             clock.mark(telem::Stage::CrossCheck);
             if (wr.bits != expect) {
@@ -281,7 +287,7 @@ StreamSession::step()
         service.cfg.bus.transferChunk(request.text.data() + cp.offset,
                                       request.text.data() + cp.offset,
                                       chunk);
-        cp.emitted.append(wr.bits, window.size() - chunk, chunk);
+        cp.emitted.append(wr.bits, win.size() - chunk, chunk);
 
         cp.offset += chunk;
         const std::size_t tail_len =
@@ -535,8 +541,14 @@ validateRequest(const ServiceConfig &cfg, const MatchRequest &req)
 StreamSession
 MatchService::startSession(const MatchRequest &req)
 {
-    StreamSession session(*this, req, std::nullopt);
-    if (auto err = validate(req))
+    return openSession(MatchRequest(req));
+}
+
+StreamSession
+MatchService::openSession(MatchRequest &&req)
+{
+    StreamSession session(*this, std::move(req), std::nullopt);
+    if (auto err = validate(session.request))
         session.fail(err->code, err->detail);
     return session;
 }
@@ -554,7 +566,13 @@ MatchService::serve(const MatchRequest &req)
 MatchResponse
 MatchService::servePacked(const MatchRequest &req, BitVec &hits)
 {
-    StreamSession session = startSession(req);
+    return servePacked(MatchRequest(req), hits);
+}
+
+MatchResponse
+MatchService::servePacked(MatchRequest &&req, BitVec &hits)
+{
+    StreamSession session = openSession(std::move(req));
     while (session.step()) {
     }
     return session.finishPacked(hits);

@@ -60,7 +60,13 @@ struct ServiceConfig
     std::size_t maxTextLen = 1 << 16;
     /** Largest admissible pattern. */
     std::size_t maxPatternLen = 64;
-    /** Text characters streamed per chunk. */
+    /**
+     * Text characters streamed per chunk: the checkpoint granularity.
+     * It applies only where something consumes the per-chunk state --
+     * a caller-held session, the per-chunk cross-check, the journal.
+     * A sharded slice with cross-check and journal both off has no
+     * such consumer and is served as one window.
+     */
     std::size_t chunkChars = 32;
     /**
      * Watchdog slack: the per-window beat budget is the feed-plan
@@ -139,7 +145,10 @@ class StreamSession
     MatchRequest request;
     Checkpoint cp;
     MatchResponse response;
-    /** Chunk window scratch, reused across step() calls. */
+    /**
+     * Chunk window scratch, reused across step() calls; unused when a
+     * chunk is the whole request, which is served from its own text.
+     */
     std::vector<Symbol> window;
     /** Cross-check reference bits, reused the same way. */
     BitVec expect;
@@ -178,6 +187,14 @@ class MatchService
 
     /** Serve with the result handed over packed (finishPacked()). */
     MatchResponse servePacked(const MatchRequest &req, BitVec &hits);
+
+    /**
+     * servePacked() on a request handed over whole, so its text moves
+     * into the session instead of being copied. A chunk that covers
+     * the whole request is one window read straight from the request
+     * text.
+     */
+    MatchResponse servePacked(MatchRequest &&req, BitVec &hits);
 
     /** Open a streaming session (validated; check the first error). */
     StreamSession startSession(const MatchRequest &req);
@@ -249,6 +266,9 @@ class MatchService
 
   private:
     friend class StreamSession;
+
+    /** startSession() on a request handed over whole. */
+    StreamSession openSession(MatchRequest &&req);
 
     ServiceConfig cfg;
     std::vector<std::unique_ptr<ServiceBackend>> ladder;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <optional>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -18,20 +20,30 @@ namespace
 {
 
 /**
- * Pin the calling thread to one core (round-robin over the cores the
- * machine has). Linux-only; a best-effort no-op elsewhere or when the
- * scheduler refuses. Pinning removes the migration jitter that shows
- * up as long-tail queue_wait_beats on a loaded host.
+ * Pin the calling thread to one CPU of its affinity mask (round-robin
+ * over the CPUs the process may run on, see pinCpuFor). Linux-only; a
+ * best-effort no-op elsewhere or when the scheduler refuses. Pinning
+ * removes the migration jitter that shows up as long-tail
+ * queue_wait_beats on a loaded host.
  */
 void
 pinToCore(unsigned worker_index)
 {
 #if defined(__linux__)
-    const unsigned cores =
-        std::max(1u, std::thread::hardware_concurrency());
     cpu_set_t set;
     CPU_ZERO(&set);
-    CPU_SET(worker_index % cores, &set);
+    std::vector<unsigned> allowed;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        for (unsigned cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+            if (CPU_ISSET(cpu, &set))
+                allowed.push_back(cpu);
+    if (allowed.empty()) {
+        spm_warn("sharded: could not read the affinity mask for worker ",
+                 worker_index, "; continuing unpinned");
+        return;
+    }
+    CPU_ZERO(&set);
+    CPU_SET(pinCpuFor(worker_index, allowed), &set);
     if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0)
         spm_warn("sharded: could not pin worker ", worker_index,
                  " to a core; continuing unpinned");
@@ -61,7 +73,38 @@ isRequestFault(ErrorCode code)
     }
 }
 
+/** What the exception in flight says (call inside a catch block). */
+std::string
+currentExceptionText()
+{
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "non-standard exception";
+    }
+}
+
+/** The typed outcome of a slice attempt that threw @p text. */
+MatchResponse
+shardThrew(std::uint64_t id, const std::string &text)
+{
+    MatchResponse r;
+    r.id = id;
+    r.error = ServiceError::make(ErrorCode::ShardFailed,
+                                 "shard task threw: " + text);
+    return r;
+}
+
 } // namespace
+
+unsigned
+pinCpuFor(unsigned worker_index, const std::vector<unsigned> &allowed_cpus)
+{
+    spm_assert(!allowed_cpus.empty(), "pinning needs an allowed CPU");
+    return allowed_cpus[worker_index % allowed_cpus.size()];
+}
 
 const char *
 breakerStateName(BreakerState state)
@@ -103,14 +146,17 @@ ShardError::toString() const
 }
 
 /**
- * One slice of a sharded request: the piece (window including the k-1
- * overlap), where the current attempt runs, and how it resolved.
- * Written by the owning task under the batch mutex; a task whose
- * epoch was bumped (abandoned on timeout) discards its late result.
+ * One slice of a sharded request: the range of its piece (window
+ * including the k-1 overlap) in the request text, where the current
+ * attempt runs, and how it resolved. Written by the owning task under
+ * the batch mutex; a task whose epoch was bumped (abandoned on
+ * timeout) discards its late result.
  */
 struct ShardedMatchService::SliceState
 {
-    MatchRequest piece;
+    std::size_t begin = 0;      ///< piece start in the request text
+    std::size_t end = 0;        ///< piece end, right extension included
+    std::uint64_t enqueuedNs = 0; ///< the piece's own enqueue stamp
     std::size_t overlapLen = 0; ///< warm-up chars left of the slice start
     std::size_t keepLen = 0;    ///< result bits this slice contributes
     std::size_t rightExt = 0;   ///< extra chars past the slice end
@@ -123,6 +169,20 @@ struct ShardedMatchService::SliceState
     MatchResponse resp;
     BitVec hits; ///< resp's result bits, packed (window-long)
     Beat attemptBeats = 0; ///< beats summed across every attempt
+
+    /** The slice's piece of @p req, as a request of its own. */
+    MatchRequest pieceOf(const MatchRequest &req) const
+    {
+        MatchRequest piece;
+        piece.id = req.id;
+        piece.pattern = req.pattern;
+        piece.deadlineBeats = req.deadlineBeats;
+        piece.enqueuedNs = enqueuedNs;
+        piece.text.assign(
+            req.text.begin() + static_cast<std::ptrdiff_t>(begin),
+            req.text.begin() + static_cast<std::ptrdiff_t>(end));
+        return piece;
+    }
 };
 
 /** Shared state of one serve() slice wave; tasks hold it by shared_ptr. */
@@ -132,6 +192,17 @@ struct ShardedMatchService::Batch
     std::condition_variable resolvedCv;
     std::vector<SliceState> slices;
     std::size_t unresolved = 0;
+    /**
+     * The request being served. A task claims its slice and reads this
+     * under bmu, then copies its piece outside the lock. A task that
+     * claims after the deadline finds its slice resolved and never
+     * reads it; serve() also clears it then, once no copy is running.
+     */
+    const MatchRequest *source = nullptr;
+    /** Tasks copying their piece out of *source right now. */
+    std::size_t copying = 0;
+    /** Signalled as each copy ends (serve() waits on it after a timeout). */
+    std::condition_variable copiedCv;
 };
 
 ShardedMatchService::ShardedMatchService(ShardedConfig config)
@@ -164,6 +235,12 @@ ShardedMatchService::ShardedMatchService(ShardedConfig config,
     for (unsigned i = 0; i < slots; ++i) {
         ServiceConfig shard_cfg = cfg.base;
         shard_cfg.shardId = i;
+        // A slice's checkpoints never leave its shard; only the
+        // per-chunk cross-check and the journal read its per-chunk
+        // state. With both off, a slice is one window: one watchdog
+        // arm, one kernel call, one bus charge.
+        if (!shard_cfg.crossCheck && !shard_cfg.journalEnabled)
+            shard_cfg.chunkChars = std::numeric_limits<std::size_t>::max();
         auto ladder = factory(shard_cfg);
         shards.push_back(std::make_unique<MatchService>(
             std::move(shard_cfg), std::move(ladder)));
@@ -265,26 +342,20 @@ ShardedMatchService::awaitBatch(Batch &batch, std::uint32_t deadline_ms)
 }
 
 MatchResponse
-ShardedMatchService::serveSliceOn(std::size_t slot,
-                                  const MatchRequest &piece,
+ShardedMatchService::serveSliceOn(std::size_t slot, MatchRequest &&piece,
                                   std::string *exception_text,
                                   BitVec &hits)
 {
     SPM_TSPAN("sharded.shard", telem::cat::sharded, 0,
               static_cast<std::uint64_t>(slot));
     hits.clear();
+    const std::uint64_t id = piece.id;
     try {
-        return shards[slot]->servePacked(piece, hits);
-    } catch (const std::exception &e) {
-        *exception_text = e.what();
+        return shards[slot]->servePacked(std::move(piece), hits);
     } catch (...) {
-        *exception_text = "non-standard exception";
+        *exception_text = currentExceptionText();
     }
-    MatchResponse r;
-    r.id = piece.id;
-    r.error = ServiceError::make(ErrorCode::ShardFailed,
-                                 "shard task threw: " + *exception_text);
-    return r;
+    return shardThrew(id, *exception_text);
 }
 
 void
@@ -426,9 +497,12 @@ ShardedMatchService::serve(const MatchRequest &req)
     for (std::size_t s = 0; s <= nshards; ++s)
         starts[s] = n * s / nshards;
 
+    // Admission only plans the slices: each piece's text is copied by
+    // the worker that serves it, in parallel with the others.
     auto batch = std::make_shared<Batch>();
     batch->slices.resize(nshards);
     batch->unresolved = nshards;
+    batch->source = &req;
     for (std::size_t s = 0; s < nshards; ++s) {
         SliceState &st = batch->slices[s];
         const std::size_t start = starts[s];
@@ -437,11 +511,8 @@ ShardedMatchService::serve(const MatchRequest &req)
             cfg.overlapCheck && nshards > 1
                 ? std::min(overlap, n - starts[s + 1])
                 : 0;
-        st.piece.id = req.id;
-        st.piece.pattern = req.pattern;
-        st.piece.deadlineBeats = req.deadlineBeats;
-        st.piece.text.assign(req.text.begin() + ws,
-                             req.text.begin() + starts[s + 1] + ext);
+        st.begin = ws;
+        st.end = starts[s + 1] + ext;
         st.overlapLen = start - ws;
         st.keepLen = starts[s + 1] - start;
         st.rightExt = ext;
@@ -449,7 +520,7 @@ ShardedMatchService::serve(const MatchRequest &req)
         // Slices inherit a fresh enqueue stamp so each shard's own
         // stage clock credits the pool handoff as queue wait.
         if (clock.running())
-            st.piece.enqueuedNs = telem::nowNs();
+            st.enqueuedNs = telem::nowNs();
     }
     clock.mark(telem::Stage::Admit);
 
@@ -462,8 +533,8 @@ ShardedMatchService::serve(const MatchRequest &req)
             if (st.slot < slotHealth.size())
                 slotHealth[st.slot].busy = true;
         }
-        st.resp =
-            serveSliceOn(st.slot, st.piece, &st.exceptionText, st.hits);
+        st.resp = serveSliceOn(st.slot, st.pieceOf(req), &st.exceptionText,
+                               st.hits);
         st.threw = !st.exceptionText.empty();
         st.resolved = true;
         st.attemptBeats = st.resp.beats;
@@ -486,13 +557,16 @@ ShardedMatchService::serve(const MatchRequest &req)
             }
             tasks.push_back([this, batch, s, slot] {
                 SliceState &st = batch->slices[s];
-                unsigned my_epoch;
+                unsigned my_epoch = 0;
+                const MatchRequest *source = nullptr;
+                std::uint64_t id = 0;
                 {
                     // The epoch snapshot races with the supervisor's
                     // abandonment bump unless taken under the batch
                     // lock; a task whose slice was abandoned before it
                     // even started has nothing to serve -- just free
-                    // the lease it inherited.
+                    // the lease it inherited, and leave the request
+                    // alone: serve() may already have returned.
                     std::lock_guard<std::mutex> lock(batch->bmu);
                     if (st.resolved) {
                         std::lock_guard<std::mutex> hl(healthMu);
@@ -500,10 +574,31 @@ ShardedMatchService::serve(const MatchRequest &req)
                         return;
                     }
                     my_epoch = st.epoch;
+                    source = batch->source;
+                    id = source->id;
+                    ++batch->copying;
                 }
+                // The claimed piece is copied outside the lock; serve()
+                // waits for a copy already running before it returns.
+                // A copy that throws (bad_alloc) resolves the slice as a
+                // typed shard failure, like a throwing serve, so the
+                // retry loop rebuilds it on a spare.
+                std::optional<MatchRequest> piece;
                 std::string exc;
+                try {
+                    piece = st.pieceOf(*source);
+                } catch (...) {
+                    exc = currentExceptionText();
+                }
+                {
+                    std::lock_guard<std::mutex> lock(batch->bmu);
+                    --batch->copying;
+                }
+                batch->copiedCv.notify_all();
                 BitVec bits;
-                MatchResponse r = serveSliceOn(slot, st.piece, &exc, bits);
+                MatchResponse r =
+                    piece ? serveSliceOn(slot, std::move(*piece), &exc, bits)
+                          : shardThrew(id, exc);
                 bool owned = false;
                 {
                     std::lock_guard<std::mutex> lock(batch->bmu);
@@ -536,7 +631,7 @@ ShardedMatchService::serve(const MatchRequest &req)
             // write is discarded, mark them timed out, and let the
             // retry loop re-execute them on spares. The wedged worker
             // keeps its slot lease until it actually finishes.
-            std::lock_guard<std::mutex> lock(batch->bmu);
+            std::unique_lock<std::mutex> lock(batch->bmu);
             for (std::size_t s = 0; s < nshards; ++s) {
                 SliceState &st = batch->slices[s];
                 if (st.resolved)
@@ -561,6 +656,13 @@ ShardedMatchService::serve(const MatchRequest &req)
                 lastErrors.push_back(std::move(se));
                 noteSlotOutcome(st.slot, false);
             }
+            // A straggler that claimed its slice in time may still be
+            // copying its piece: wait for that bounded copy, then cut
+            // the pool off from the request, which the caller may
+            // destroy as soon as serve() returns.
+            batch->copiedCv.wait(lock,
+                                 [&batch] { return batch->copying == 0; });
+            batch->source = nullptr;
         }
         // Release the leases of slices whose worker answered in time,
         // before the caller can start another batch -- the worker only
@@ -579,7 +681,7 @@ ShardedMatchService::serve(const MatchRequest &req)
     // --- Recovery: retry failed slices on spare slots ----------------
     const auto sliceCaseId = [&](const SliceState &st) {
         return telem::literalCaseId(cfg.base.alphabetBits, req.pattern,
-                                    st.piece.text);
+                                    st.pieceOf(req).text);
     };
     const auto retryOnSpare = [&](std::size_t s, SliceState &st,
                                   unsigned attempt,
@@ -600,8 +702,8 @@ ShardedMatchService::serve(const MatchRequest &req)
                   " on spare slot " + std::to_string(spare);
         flight.record(std::move(ev));
         st.exceptionText.clear();
-        st.resp =
-            serveSliceOn(spare, st.piece, &st.exceptionText, st.hits);
+        st.resp = serveSliceOn(spare, st.pieceOf(req), &st.exceptionText,
+                               st.hits);
         st.threw = !st.exceptionText.empty();
         st.attemptBeats += st.resp.beats;
         st.slot = spare;

@@ -20,6 +20,17 @@
  * history, once by each neighbor. The stitched response is
  * bit-identical to the unsharded service.
  *
+ * The slice plan. serve() only plans the slices on the calling
+ * thread: each one is a [begin, end) range of the request text. The
+ * worker that claims a slice copies its piece out of the request and
+ * moves it into the shard's session, so every character is copied
+ * once, in parallel, and never by the caller. A slice's checkpoints
+ * never leave its shard, so ServiceConfig::chunkChars -- the
+ * checkpoint granularity -- applies only when something reads the
+ * per-chunk state: the per-chunk cross-check or the journal. With
+ * both off, a slice is served as one window (one watchdog arm, one
+ * kernel call, one bus charge) read straight from the piece.
+ *
  * The fault-tolerance story mirrors Section 5's wafer-harvest model
  * one level up: the paper buys yield from defective cells with spare
  * cells and reconfiguration; the serving layer buys availability from
@@ -128,13 +139,22 @@ struct ShardedConfig
      */
     bool overlapCheck = true;
     /**
-     * Pin worker i to core i mod hardware_concurrency() (Linux
-     * affinity; elsewhere a no-op). Off by default: pinning helps a
-     * dedicated benchmark host and hurts a shared one, so the benches
-     * opt in explicitly.
+     * Pin worker i to one CPU of the process affinity mask, round-robin
+     * (pinCpuFor; Linux affinity, elsewhere a no-op). Off by default:
+     * pinning helps a dedicated benchmark host and hurts a shared one,
+     * so the benches opt in explicitly.
      */
     bool pinThreads = false;
 };
+
+/**
+ * The CPU a pinned worker @p worker_index runs on: round-robin over
+ * @p allowed_cpus, the CPUs of the process affinity mask in ascending
+ * order (mask {2,3}: workers 0, 1, 2 -> CPUs 2, 3, 2).
+ * @p allowed_cpus must not be empty.
+ */
+unsigned pinCpuFor(unsigned worker_index,
+                   const std::vector<unsigned> &allowed_cpus);
 
 /** Circuit-breaker state of one shard slot. */
 enum class BreakerState : unsigned char
@@ -307,7 +327,7 @@ class ShardedMatchService
      * Serve @p piece on slot @p slot with its result packed into
      * @p hits; exceptions -> typed outcome.
      */
-    MatchResponse serveSliceOn(std::size_t slot, const MatchRequest &piece,
+    MatchResponse serveSliceOn(std::size_t slot, MatchRequest &&piece,
                                std::string *exception_text,
                                BitVec &hits);
 

@@ -358,10 +358,12 @@ TEST(Oracles, RegistryNamesEveryImplementation)
     // 8 base implementations (sharded x3 = 10 configurations), plus
     // the bit-sliced kernel at the best tier and, when that is not
     // the scalar tier, the forced scalar tier, plus three batch pack
-    // shapes, plus four dictionary shapes.
+    // shapes, plus four dictionary shapes, plus the chunked streaming
+    // service.
     const bool scalar_forced =
         core::bestSimdIsa() != core::SimdIsa::Scalar;
-    EXPECT_EQ(names.size(), 10u + 1u + (scalar_forced ? 1u : 0u) + 3u + 4u);
+    EXPECT_EQ(names.size(),
+              10u + 1u + (scalar_forced ? 1u : 0u) + 3u + 4u + 1u);
     EXPECT_EQ(names.front(), "reference");
     const auto has = [&](const std::string &n) {
         return std::find(names.begin(), names.end(), n) != names.end();
@@ -375,6 +377,7 @@ TEST(Oracles, RegistryNamesEveryImplementation)
     EXPECT_TRUE(has("dict-p8"));
     EXPECT_TRUE(has("dict-p64"));
     EXPECT_TRUE(has("dict-p8-chunk9"));
+    EXPECT_TRUE(has("service-stream-chunk48"));
     // The gate switch removes exactly the two gate-level oracles.
     const std::vector<std::string> nogate = allOracleNames(false);
     EXPECT_EQ(names.size(), nogate.size() + 2u);

@@ -216,6 +216,51 @@ TEST(ChaosService, HangIsAbandonedAtDeadlineAndServedBySpare)
     EXPECT_EQ(again.result, expected(req));
 }
 
+TEST(ChaosService, HangStormNeverReadsARequestAfterServeReturns)
+{
+    // Workers copy their slice's text out of the caller's request. A
+    // hang storm with a deadline far below the hang leaves stragglers
+    // asleep in their slices when serve() returns, and each request is
+    // destroyed at once: a straggler that read it afterwards would be
+    // a use-after-free under ASan and a race under TSan. Cross-check
+    // and journal are off, so every slice is one window.
+    ChaosConfig storm;
+    storm.seed = 18;
+    storm.hangProb = 0.5;
+    storm.hangMs = 60;
+    storm.targetSlots = {0, 1, 2, 3};
+    auto plan = std::make_shared<const ChaosPlan>(storm);
+    ShardedConfig cfg = chaosShardConfig(4, 1);
+    cfg.batchDeadlineMs = 2;
+    cfg.base.crossCheck = false;
+    cfg.base.journalEnabled = false;
+    ShardedMatchService sharded(
+        cfg, makeChaosLadderFactory(plan, softwareFactory()));
+
+    const std::size_t requests = 12;
+    std::size_t exact = 0;
+    std::size_t typed = 0;
+    for (std::size_t i = 0; i < requests; ++i) {
+        auto req = std::make_unique<MatchRequest>(
+            randomRequest(0xE9 + i, 400, 5));
+        const std::vector<bool> want = expected(*req);
+        const MatchResponse resp = sharded.serve(*req);
+        req.reset();
+        if (resp.ok()) {
+            EXPECT_EQ(resp.result, want) << "request " << i;
+            ++exact;
+        } else {
+            EXPECT_EQ(resp.error.code, ErrorCode::ShardFailed)
+                << resp.error.toString();
+            ++typed;
+        }
+    }
+    EXPECT_EQ(exact + typed, requests);
+    EXPECT_GT(plan->injections(), 0u);
+    EXPECT_GE(sharded.metricsSnapshot().counterValue("sharded.shard_timeouts"),
+              1u);
+}
+
 TEST(ChaosService, QuarantineOpensProbesHalfOpenAndHeals)
 {
     // Slot 0 throws on its first three windows, then behaves: two

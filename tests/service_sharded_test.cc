@@ -384,34 +384,153 @@ TEST(ShardedService, PackedStitchAtUnalignedShapes)
     // Texts that are not multiples of 64 x threads, chunks that are not
     // multiples of 64, patterns from 1 to 65 characters: every slice
     // boundary, warm-up drop and right extension lands at an odd bit
-    // offset of the packed stitch and overlap compare.
+    // offset of the packed stitch and overlap compare. Each shape runs
+    // with the slices chunked (cross-check and journal on) and as one
+    // window each (both off).
     core::ReferenceMatcher ref;
     for (const unsigned threads : {3u, 4u}) {
         for (const std::size_t chunk : {37u, 100u}) {
-            ShardedConfig cfg = smallShardConfig(threads, 2);
-            cfg.base.chunkChars = chunk;
-            cfg.base.maxPatternLen = 65;
-            cfg.minShardChars = 90;
-            ShardedMatchService sharded(cfg, simdLadder);
-            for (const std::size_t n : {777u, 1000u, 4097u}) {
-                for (const std::size_t k : {1u, 2u, 7u, 63u, 64u, 65u}) {
-                    const auto req = randomRequest(
-                        0x5717 + n * 131 + k * 7 + threads, 2, n, k, 15);
-                    const std::vector<bool> want =
-                        ref.match(req.text, req.pattern);
-                    const MatchResponse resp = sharded.serve(req);
-                    ASSERT_TRUE(resp.ok()) << resp.error.detail;
-                    EXPECT_GE(sharded.lastShards(), 2u);
-                    EXPECT_EQ(resp.result, want)
-                        << "threads=" << threads << " chunk=" << chunk
-                        << " n=" << n << " k=" << k;
+            for (const bool one_window : {false, true}) {
+                ShardedConfig cfg = smallShardConfig(threads, 2);
+                cfg.base.chunkChars = chunk;
+                cfg.base.maxPatternLen = 65;
+                cfg.base.crossCheck = !one_window;
+                cfg.base.journalEnabled = !one_window;
+                cfg.minShardChars = 90;
+                ShardedMatchService sharded(cfg, simdLadder);
+                for (const std::size_t n : {777u, 1000u, 4097u}) {
+                    for (const std::size_t k : {1u, 2u, 7u, 63u, 64u, 65u}) {
+                        const auto req = randomRequest(
+                            0x5717 + n * 131 + k * 7 + threads, 2, n, k, 15);
+                        const std::vector<bool> want =
+                            ref.match(req.text, req.pattern);
+                        const MatchResponse resp = sharded.serve(req);
+                        ASSERT_TRUE(resp.ok()) << resp.error.detail;
+                        EXPECT_GE(sharded.lastShards(), 2u);
+                        if (one_window) {
+                            EXPECT_EQ(resp.chunks, sharded.lastShards());
+                        }
+                        EXPECT_EQ(resp.result, want)
+                            << "threads=" << threads << " chunk=" << chunk
+                            << " one_window=" << one_window << " n=" << n
+                            << " k=" << k;
+                    }
                 }
+                const telem::Snapshot snap = sharded.metricsSnapshot();
+                EXPECT_GT(snap.counterValue("sharded.overlap_checks"), 0u);
+                EXPECT_EQ(snap.counterValue("sharded.overlap_mismatches"), 0u);
             }
-            const telem::Snapshot snap = sharded.metricsSnapshot();
-            EXPECT_GT(snap.counterValue("sharded.overlap_checks"), 0u);
-            EXPECT_EQ(snap.counterValue("sharded.overlap_mismatches"), 0u);
         }
     }
+}
+
+/**
+ * Chunks serve() streams when every slice is cut into @p chunk-char
+ * pieces: n chars over @p slices slices of a k-char pattern, with the
+ * k-1 warm-up and, across several slices, the k-1 right extension.
+ */
+std::size_t
+chunkedCount(std::size_t n, std::size_t k, std::size_t slices,
+             std::size_t chunk)
+{
+    const std::size_t overlap = k - 1;
+    std::size_t chunks = 0;
+    for (std::size_t s = 0; s < slices; ++s) {
+        const std::size_t start = n * s / slices;
+        const std::size_t stop = n * (s + 1) / slices;
+        const std::size_t ws = start >= overlap ? start - overlap : 0;
+        const std::size_t ext =
+            slices > 1 ? std::min(overlap, n - stop) : 0;
+        chunks += (stop + ext - ws + chunk - 1) / chunk;
+    }
+    return chunks;
+}
+
+TEST(ShardedService, SliceIsOneWindowWhenNothingReadsItsChunks)
+{
+    // With the per-chunk cross-check and the journal both off, nothing
+    // reads a slice's chunk state: each slice is one window, so one
+    // chunk and one checkpoint per slice, and the critical path is one
+    // kernel call on the longest piece (2n + k + 4 beats on a rung
+    // with no beat model of its own). Either one on keeps the chunks.
+    const std::size_t n = 1000;
+    const std::size_t k = 6;
+    const auto req = randomRequest(0x1A7, 2, n, k);
+    const std::vector<bool> want =
+        core::ReferenceMatcher().match(req.text, req.pattern);
+    for (const bool cross_check : {false, true}) {
+        for (const bool journal : {false, true}) {
+            ShardedConfig cfg = smallShardConfig(4, 2);
+            cfg.base.crossCheck = cross_check;
+            cfg.base.journalEnabled = journal;
+            ShardedMatchService sharded(cfg, simdLadder);
+            const MatchResponse resp = sharded.serve(req);
+            ASSERT_TRUE(resp.ok()) << resp.error.detail;
+            ASSERT_EQ(sharded.lastShards(), 4u);
+            EXPECT_EQ(resp.result, want);
+            const std::string plan =
+                std::string("cross-check ") + (cross_check ? "on" : "off") +
+                ", journal " + (journal ? "on" : "off");
+            if (!cross_check && !journal) {
+                EXPECT_EQ(resp.chunks, sharded.lastShards()) << plan;
+                EXPECT_EQ(resp.checkpoints, sharded.lastShards()) << plan;
+                // Interior slices are the longest pieces: 250 chars
+                // plus k-1 of warm-up and k-1 of right extension.
+                EXPECT_EQ(sharded.lastCriticalBeats(),
+                          static_cast<Beat>(2 * (250 + 2 * (k - 1)) + k + 4))
+                    << plan;
+            } else {
+                EXPECT_EQ(resp.chunks, chunkedCount(n, k, 4, 16)) << plan;
+                EXPECT_EQ(resp.checkpoints, resp.chunks) << plan;
+            }
+        }
+    }
+}
+
+TEST(ShardedService, DeadlineBeatsKeepsItsTypedCode)
+{
+    // A whole-request beat deadline applies per slice. Too small, it
+    // fails every attempt, and the request ends in the typed shard
+    // error whether the slice is chunked or one window; large enough,
+    // both plans serve the request.
+    auto req = randomRequest(0xDEAD, 2, 400, 6);
+    for (const bool journal : {false, true}) {
+        ShardedConfig cfg = smallShardConfig(4, 2);
+        cfg.base.crossCheck = false;
+        cfg.base.journalEnabled = journal;
+        ShardedMatchService sharded(cfg, simdLadder);
+        req.deadlineBeats = 50;
+        const MatchResponse late = sharded.serve(req);
+        EXPECT_FALSE(late.ok()) << "journal " << journal;
+        EXPECT_EQ(late.error.code, ErrorCode::ShardFailed)
+            << "journal " << journal << ": " << late.error.toString();
+        EXPECT_NE(late.error.detail.find(
+                      errorCodeName(ErrorCode::DeadlineExceeded)),
+                  std::string::npos)
+            << late.error.detail;
+        EXPECT_TRUE(late.result.empty());
+
+        req.deadlineBeats = 1 << 20;
+        const MatchResponse in_time = sharded.serve(req);
+        ASSERT_TRUE(in_time.ok()) << in_time.error.detail;
+        EXPECT_EQ(in_time.result,
+                  core::ReferenceMatcher().match(req.text, req.pattern));
+    }
+}
+
+TEST(ShardedService, PinnedWorkersStayInsideTheAffinityMask)
+{
+    // Worker i takes the (i mod |mask|)-th allowed CPU, so a cpuset
+    // that does not start at CPU 0, or holds fewer CPUs than the
+    // machine, still gets every worker pinned inside it.
+    EXPECT_EQ(pinCpuFor(0, {2, 3}), 2u);
+    EXPECT_EQ(pinCpuFor(1, {2, 3}), 3u);
+    EXPECT_EQ(pinCpuFor(2, {2, 3}), 2u);
+    for (unsigned i = 0; i < 4; ++i) {
+        EXPECT_EQ(pinCpuFor(i, {5}), 5u);
+        EXPECT_EQ(pinCpuFor(i, {0, 1, 2, 3}), i);
+    }
+    EXPECT_EQ(pinCpuFor(4, {1, 4, 6}), 4u);
 }
 
 TEST(ShardedService, SixteenBitAlphabetServes)
