@@ -13,7 +13,11 @@
  *   batch width    one BatchMatcher pass over W short streams vs W
  *                  single-stream passes -- the north-star serving
  *                  shape, where plane words are filled by batch
- *                  width, not stream length;
+ *                  width, not stream length -- plus a pass of 1000
+ *                  256-char streams whose host path (packing, lead
+ *                  clearing, extraction) is reported against the
+ *                  kernel call on the same packed text
+ *                  (host_speedup_vs_kernel);
  *   batch service  the batched request path vs the streaming service
  *                  on the same bundle of short requests (serving
  *                  overhead per request vs per pass);
@@ -177,11 +181,14 @@ batchWidthReport()
     // lone stream fills 12/64 of its plane word -- 81% padding -- and
     // pays the per-pass costs (transpose setup, pattern masks, result
     // extraction) on 12 characters; at W = 1000 the words are full
-    // and the same costs spread over 12,000.
+    // and the same costs spread over 12,000. Each rep times every
+    // width in turn, so the best of the reps sees the same host
+    // periods for all four.
     const std::size_t len = 12;
     const std::size_t k = 8;
     const std::size_t target =
         smokeMode() ? 100'000 : 2'000'000; // chars per timed rep
+    const std::vector<std::size_t> widths = {1, 3, 64, 1000};
 
     WorkloadGen gen(0xE18BA7C4, 2);
     const auto pattern = gen.randomPattern(k, 0.12);
@@ -192,35 +199,44 @@ batchWidthReport()
                      "speedup vs w=1"});
     BatchMatcher bm;
     ReferenceMatcher ref;
-    double cs_w1 = 0;
-    bool agrees = true;
-    for (const std::size_t width :
-         {std::size_t(1), std::size_t(3), std::size_t(64),
-          std::size_t(1000)}) {
-        std::vector<std::vector<Symbol>> streams(width);
-        for (std::size_t i = 0; i < width; ++i) {
+    std::vector<std::vector<std::vector<Symbol>>> streams(widths.size());
+    for (std::size_t wi = 0; wi < widths.size(); ++wi) {
+        streams[wi].resize(widths[wi]);
+        for (std::size_t i = 0; i < widths[wi]; ++i) {
             WorkloadGen sg(0xE18000 + i, 2);
-            streams[i] = sg.textWithPlants(len, pattern, k * 3 + 1);
+            streams[wi][i] = sg.textWithPlants(len, pattern, k * 3 + 1);
         }
-        const std::size_t passes =
-            std::max<std::size_t>(1, target / (width * len));
-        double best = 1e300;
-        for (int rep = 0; rep < 3; ++rep)
-            best = std::min(best, secondsOf([&] {
+    }
+    std::vector<double> best(widths.size(), 1e300);
+    for (int rep = 0; rep < 5; ++rep)
+        for (std::size_t wi = 0; wi < widths.size(); ++wi) {
+            const std::size_t passes =
+                std::max<std::size_t>(1, target / (widths[wi] * len));
+            best[wi] = std::min(best[wi], secondsOf([&] {
                 for (std::size_t p = 0; p < passes; ++p) {
-                    auto r = bm.matchMany(streams, pattern);
+                    auto r = bm.matchMany(streams[wi], pattern);
                     benchmark::DoNotOptimize(r);
                 }
             }));
+        }
+
+    double cs_w1 = 0;
+    bool agrees = true;
+    for (std::size_t wi = 0; wi < widths.size(); ++wi) {
+        const std::size_t width = widths[wi];
+        const std::size_t passes =
+            std::max<std::size_t>(1, target / (width * len));
         const double cs =
-            static_cast<double>(width * len * passes) / best;
+            static_cast<double>(width * len * passes) / best[wi];
         if (width == 1)
             cs_w1 = cs;
+        // One more pass at this width: its answer for the spot check,
+        // and lastKernelChars() for the table.
+        const auto got = bm.matchMany(streams[wi], pattern);
         if (width == 64) {
             // Spot-check the pack against per-stream reference runs.
-            const auto got = bm.matchMany(streams, pattern);
             for (std::size_t i = 0; i < width && agrees; ++i)
-                agrees = got[i] == ref.match(streams[i], pattern);
+                agrees = got[i] == ref.match(streams[wi][i], pattern);
         }
         table.addRowOf(width, Table::fixed(cs / 1e6, 2),
                        bm.lastKernelChars(),
@@ -238,6 +254,55 @@ batchWidthReport()
                 "kernel was built\nfor; width must buy throughput "
                 "(floor: 2x over one-stream passes)\nand the packing "
                 "must stay bit-identical to per-stream matching.\n");
+
+    // The extraction-heavy shape: 1000 streams of 256 characters, so a
+    // pass's host work (packing the streams, clearing lead windows,
+    // expanding each stream's bits) is measured against the kernel
+    // call on the same packed text, in alternating pairs. A per-bit
+    // extraction costs a few ns per character on top of the kernel's
+    // fraction of one, and shows up here at any core count.
+    const std::size_t long_len = 256;
+    const std::size_t long_width = 1000;
+    std::vector<std::vector<Symbol>> long_streams(long_width);
+    std::vector<Symbol> packed_text;
+    for (std::size_t i = 0; i < long_width; ++i) {
+        WorkloadGen sg(0xE18200 + i, 2);
+        long_streams[i] = sg.textWithPlants(long_len, pattern, k * 3 + 1);
+        packed_text.insert(packed_text.end(), long_streams[i].begin(),
+                           long_streams[i].end());
+    }
+    SimdParallelMatcher kernel;
+    double s_many = 1e300;
+    double s_kernel = 1e300;
+    for (int rep = 0; rep < 32; ++rep) {
+        s_many = std::min(s_many, secondsOf([&] {
+            auto r = bm.matchMany(long_streams, pattern);
+            benchmark::DoNotOptimize(r);
+        }));
+        s_kernel = std::min(s_kernel, secondsOf([&] {
+            const auto &r = kernel.matchPacked(packed_text, pattern);
+            benchmark::DoNotOptimize(r.data());
+        }));
+    }
+    const auto got = bm.matchMany(long_streams, pattern);
+    bool long_agrees = true;
+    for (std::size_t i = 0; i < long_width && long_agrees; i += 97)
+        long_agrees = got[i] == ref.match(long_streams[i], pattern);
+    const double host_speedup =
+        s_kernel / std::max(s_many - s_kernel, 1e-9);
+    const double long_cs =
+        static_cast<double>(long_width * long_len) / s_many;
+    std::printf("\n%zu streams of %zu chars: %.2f Mchars/s through "
+                "matchMany, kernel call %.1f us,\nhost path %.1f us "
+                "(host speedup vs kernel %.2f)%s.\n",
+                long_width, long_len, long_cs / 1e6, s_kernel * 1e6,
+                (s_many - s_kernel) * 1e6, host_speedup,
+                long_agrees ? "" : " -- DISAGREES with the reference");
+    jsonReport().set("batch.w1000_len256.chars_per_sec", long_cs);
+    jsonReport().set("batch.w1000_len256.host_speedup_vs_kernel",
+                     host_speedup);
+    jsonReport().set("batch.w1000_len256.agrees",
+                     long_agrees ? "yes" : "no");
 }
 
 void
@@ -246,9 +311,12 @@ batchServiceReport()
     // The same bundle of short requests through both front ends: the
     // streaming service pays validation, chunk loop, checkpointing and
     // bus charging per request; the batched path pays them per pass.
+    // The bundle is the same size under --smoke, and the two front
+    // ends alternate (each rep flips which goes first), so the best of
+    // the reps compares them across the same host periods.
     const std::size_t len = 64;
     const std::size_t k = 8;
-    const std::size_t requests = smokeMode() ? 64 : 1024;
+    const std::size_t requests = 1024;
 
     service::BatchServiceConfig bcfg;
     bcfg.base.alphabetBits = 2;
@@ -279,13 +347,15 @@ batchServiceReport()
     double s_batched = 1e300;
     double s_streaming = 1e300;
     bool all_ok = true;
-    for (int rep = 0; rep < 3; ++rep) {
+    const auto timeBatched = [&] {
         s_batched = std::min(s_batched, secondsOf([&] {
             auto resp = batched.serveBatch(batch);
             for (const auto &r : resp)
                 all_ok = all_ok && r.ok();
             benchmark::DoNotOptimize(resp);
         }));
+    };
+    const auto timeStreaming = [&] {
         s_streaming = std::min(s_streaming, secondsOf([&] {
             for (const auto &req : batch) {
                 auto r = streaming.serve(req);
@@ -293,6 +363,15 @@ batchServiceReport()
                 benchmark::DoNotOptimize(r);
             }
         }));
+    };
+    for (int rep = 0; rep < 16; ++rep) {
+        if (rep % 2 == 0) {
+            timeBatched();
+            timeStreaming();
+        } else {
+            timeStreaming();
+            timeBatched();
+        }
     }
     const double cs_b = total / s_batched;
     const double cs_s = total / s_streaming;

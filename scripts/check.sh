@@ -64,6 +64,15 @@ echo "== conformance: simd kernel fuzz under asan =="
 build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
     --focus simd-parallel --no-extensions --no-golden
 
+# The batch matcher under AddressSanitizer: the batch oracles pack
+# each case with suffix lanes and chunked carries, and extraction reads
+# the kernel's packed words one stream segment at a time, so a
+# word-level extraction or lead-window clear that runs past a stream's
+# end trips ASan here instead of shipping.
+echo "== conformance: batch fuzz under asan =="
+build-asan-ubsan/tools/conformance_fuzz --cases 1000000 --seconds 10 \
+    --focus batch --no-extensions --no-golden
+
 # The multi-pattern tier under AddressSanitizer: the dict oracles run
 # the bit-sliced plane sweep, its no-dedup ablation, the Aho-Corasick
 # automaton and the chunked carry protocol against each other on every

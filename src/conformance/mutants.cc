@@ -238,6 +238,41 @@ class MutDictPlaneCarry : public core::Matcher
     bool supportsWildcards() const override { return true; }
 };
 
+/**
+ * Seeded bug: the batch matcher's extraction skips clearing a stream's
+ * lead k-1 window, so positions whose look-back reaches into the
+ * previous stream in the pack report what the kernel computed from
+ * the neighbor's characters. The case text rides behind a neighbor
+ * stream that ends in a partial match (the pattern's first k-1
+ * symbols, wild cards as symbol 0), as a planted hit cut at a stream
+ * boundary would.
+ */
+class MutBatchLeadMask : public core::Matcher
+{
+  public:
+    std::vector<bool> match(const std::vector<Symbol> &text,
+                            const std::vector<Symbol> &pattern) override
+    {
+        std::vector<Symbol> concat;
+        for (std::size_t j = 0; j + 1 < pattern.size(); ++j)
+            concat.push_back(pattern[j] == wildcardSymbol ? Symbol(0)
+                                                          : pattern[j]);
+        const std::size_t base = concat.size();
+        concat.insert(concat.end(), text.begin(), text.end());
+        core::SimdParallelMatcher inner(core::SimdIsa::Scalar);
+        const std::vector<std::uint64_t> &packed =
+            inner.matchPacked(concat, pattern);
+        std::vector<bool> result;
+        // BUG: the stream's first k-1 bits are never cleared.
+        unpackResultBits(packed.data(), base, concat.size(), result);
+        return result;
+    }
+
+    std::string name() const override { return "mut-batch-leadmask"; }
+
+    bool supportsWildcards() const override { return true; }
+};
+
 } // namespace
 
 const std::vector<Mutant> &
@@ -274,6 +309,11 @@ allMutants()
          "across a 64-bit word boundary are lost",
          "a match window straddling a packed-word boundary",
          [] { return std::make_unique<MutDictPlaneCarry>(); }},
+        {"mut-batch-leadmask",
+         "batch extraction skips clearing a stream's lead k-1 window, "
+         "so the neighbor stream's characters leak into its first bits",
+         "a stream packed behind one ending in a partial match",
+         [] { return std::make_unique<MutBatchLeadMask>(); }},
     };
     return mutants;
 }

@@ -4,8 +4,30 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/bitvec.hh"
+
 namespace spm::core
 {
+
+namespace
+{
+
+/** Clear bits [@p from, @p from + @p count) of packed @p words. */
+void
+clearBits(std::uint64_t *words, std::size_t from, std::size_t count)
+{
+    while (count != 0) {
+        const std::size_t r = from % 64;
+        const std::size_t take = std::min<std::size_t>(count, 64 - r);
+        const std::uint64_t span =
+            take == 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << take) - 1;
+        words[from / 64] &= ~(span << r);
+        from += take;
+        count -= take;
+    }
+}
+
+} // namespace
 
 BatchMatcher::BatchMatcher() = default;
 
@@ -27,9 +49,13 @@ BatchMatcher::matchMany(
     const std::vector<const std::vector<Symbol> *> &streams,
     const std::vector<Symbol> &pattern)
 {
-    // A whole stream is one chunk fed to a fresh carry.
-    std::vector<StreamCarry> carries(streams.size());
-    return feedChunks(carries, streams, pattern);
+    // A whole stream has no history to carry: no tails, no carries.
+    runKernel(nullptr, streams, pattern);
+    std::vector<std::vector<bool>> out(streams.size());
+    for (std::size_t i = 0; i < streams.size(); ++i)
+        unpackResultBits(hitWords.data(), segBase[i],
+                         segBase[i] + streams[i]->size(), out[i]);
+    return out;
 }
 
 std::vector<std::vector<bool>>
@@ -54,7 +80,6 @@ BatchMatcher::feedChunks(
         throw std::invalid_argument(
             "BatchMatcher: " + std::to_string(carries.size()) +
             " carries for " + std::to_string(chunks.size()) + " chunks");
-    const std::size_t width = chunks.size();
     const std::size_t k = pattern.size();
     const std::size_t hist = k == 0 ? 0 : k - 1;
     for (const StreamCarry &carry : carries)
@@ -64,48 +89,17 @@ BatchMatcher::feedChunks(
                 std::to_string(carry.patternLen) +
                 " reused with length " + std::to_string(k));
 
-    // Pack carry tail + chunk per stream, end to end. The tail gives
-    // every kept position its full look-back window; positions still
-    // inside a stream's first k-1 characters are masked below, so the
-    // kernel's cross-stream reads there are harmless.
-    batchWidth = width;
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < width; ++i)
-        total += carries[i].tail.size() + chunks[i]->size();
-    concat.clear();
-    concat.reserve(total);
-    segBase.resize(width);
-    segSkip.resize(width);
-    for (std::size_t i = 0; i < width; ++i) {
-        const std::vector<Symbol> &tail = carries[i].tail;
-        const std::vector<Symbol> &chunk = *chunks[i];
-        segBase[i] = concat.size();
-        segSkip[i] = tail.size();
-        concat.insert(concat.end(), tail.begin(), tail.end());
-        concat.insert(concat.end(), chunk.begin(), chunk.end());
-    }
-    kernelChars = concat.size();
-    const std::vector<std::uint64_t> &packed =
-        simd.matchPacked(concat, pattern);
-
-    std::vector<std::vector<bool>> out(width);
-    for (std::size_t i = 0; i < width; ++i) {
+    runKernel(&carries, chunks, pattern);
+    std::vector<std::vector<bool>> out(chunks.size());
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
         const std::vector<Symbol> &chunk = *chunks[i];
         const std::size_t len = chunk.size();
-        const std::uint64_t before = carries[i].seen;
-        std::vector<bool> &bits = out[i];
-        bits.assign(len, false);
-        const std::size_t base = segBase[i] + segSkip[i];
-        for (std::size_t c = 0; c < len; ++c) {
-            if (before + c + 1 < k)
-                continue; // the stream hasn't seen k characters yet
-            const std::size_t g = base + c;
-            bits[c] = (packed[g / 64] >> (g % 64)) & 1u;
-        }
+        unpackResultBits(hitWords.data(), segBase[i], segBase[i] + len,
+                         out[i]);
 
         // Advance the carry: keep the last min(k-1, seen) characters.
         StreamCarry &carry = carries[i];
-        carry.seen = before + len;
+        carry.seen += len;
         carry.patternLen = k;
         const std::size_t need = static_cast<std::size_t>(
             std::min<std::uint64_t>(hist, carry.seen));
@@ -123,6 +117,49 @@ BatchMatcher::feedChunks(
         }
     }
     return out;
+}
+
+void
+BatchMatcher::runKernel(
+    const std::vector<StreamCarry> *carries,
+    const std::vector<const std::vector<Symbol> *> &chunks,
+    const std::vector<Symbol> &pattern)
+{
+    // The carry tail gives every kept position its full look-back
+    // window; positions still inside a stream's first k-1 characters
+    // are cleared below, so the kernel's cross-stream reads there are
+    // harmless.
+    const std::size_t width = chunks.size();
+    batchWidth = width;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < width; ++i)
+        total += chunks[i]->size() +
+                 (carries != nullptr ? (*carries)[i].tail.size() : 0);
+    concat.clear();
+    concat.reserve(total);
+    segBase.resize(width);
+    for (std::size_t i = 0; i < width; ++i) {
+        if (carries != nullptr) {
+            const std::vector<Symbol> &tail = (*carries)[i].tail;
+            concat.insert(concat.end(), tail.begin(), tail.end());
+        }
+        segBase[i] = concat.size();
+        concat.insert(concat.end(), chunks[i]->begin(), chunks[i]->end());
+    }
+    kernelChars = concat.size();
+    const std::vector<std::uint64_t> &packed =
+        simd.matchPacked(concat, pattern);
+
+    // A stream's first k-1 segment positions (tail included) have no
+    // full in-stream history: clear them a word mask at a time.
+    hitWords.assign(packed.begin(), packed.end());
+    const std::size_t hist = pattern.empty() ? 0 : pattern.size() - 1;
+    std::size_t seg = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+        const std::size_t end = segBase[i] + chunks[i]->size();
+        clearBits(hitWords.data(), seg, std::min(hist, end - seg));
+        seg = end;
+    }
 }
 
 } // namespace spm::core

@@ -15,16 +15,19 @@
  * stream position p only looks back k-1 characters, so a position
  * with a full in-stream history (p >= k-1, counting any carry tail)
  * computes exactly its standalone value even mid-concatenation, and
- * every position without one is false *by definition* -- the
- * extraction step forces those bits regardless of what the kernel
- * computed from the neighboring stream's characters. No separators,
- * no per-stream padding.
+ * every position without one is false *by definition*. Extraction
+ * clears the first k-1 bits of every stream's segment in the kernel's
+ * packed words (a word mask, whatever the kernel computed there from
+ * the neighboring stream's characters), then expands each stream with
+ * one sparse unpackResultBits call over its own range. No separators,
+ * no per-stream padding, no per-bit loop.
  *
  * Streams longer than one request chunk carry across calls as a raw
  * k-1-character tail (StreamCarry): the last characters already
  * consumed are re-fed ahead of the next chunk, so chunked feeding is
  * bit-identical to matching the whole stream at once -- the property
- * tests and the conformance registry check exactly that.
+ * tests and the conformance registry check exactly that. Whole-stream
+ * passes (matchMany) have no history to carry and build no tails.
  */
 
 #ifndef SPM_CORE_BATCH_HH
@@ -117,12 +120,21 @@ class BatchMatcher
     const SimdParallelMatcher &kernel() const { return simd; }
 
   private:
+    /**
+     * Pack carry tail (when @p carries is given) + chunk per stream end
+     * to end, run the kernel, and leave the packed result in hitWords
+     * with every segment's first k-1 bits cleared.
+     */
+    void runKernel(const std::vector<StreamCarry> *carries,
+                   const std::vector<const std::vector<Symbol> *> &chunks,
+                   const std::vector<Symbol> &pattern);
+
     SimdParallelMatcher simd;
 
     // --- the scratch arena (reused across calls) ---------------------
-    std::vector<Symbol> concat;       ///< packed tails + chunks
-    std::vector<std::size_t> segBase; ///< segment start in concat
-    std::vector<std::size_t> segSkip; ///< carry-tail chars to skip
+    std::vector<Symbol> concat;          ///< packed tails + chunks
+    std::vector<std::size_t> segBase;    ///< chunk start in concat
+    std::vector<std::uint64_t> hitWords; ///< kernel words, leads cleared
 
     std::size_t batchWidth = 0;
     std::size_t kernelChars = 0;

@@ -1,6 +1,7 @@
 #include "service/batch.hh"
 
-#include <algorithm>
+#include <functional>
+#include <string_view>
 #include <utility>
 
 #include "core/reference.hh"
@@ -19,6 +20,7 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config)
 BatchMatchService::BatchMatchService(BatchServiceConfig config,
                                      core::SimdIsa isa)
     : cfg(std::move(config)), engine(isa),
+      backendName("batch+" + engine.kernel().name()),
       batchesCtr(metrics.counter("batches")),
       streamsCtr(metrics.counter("streams")),
       streamCharsCtr(metrics.counter("streamChars")),
@@ -35,9 +37,17 @@ BatchMatchService::BatchMatchService(BatchServiceConfig config,
                "alphabet width must be in [1, 16] bits");
 }
 
+std::size_t
+BatchMatchService::PatternHash::operator()(const std::vector<Symbol> *p) const
+{
+    return std::hash<std::string_view>{}(
+        std::string_view(reinterpret_cast<const char *>(p->data()),
+                         p->size() * sizeof(Symbol)));
+}
+
 std::vector<std::vector<bool>>
 BatchMatchService::runPass(
-    std::vector<core::StreamCarry> &carries,
+    std::vector<core::StreamCarry> *carries,
     const std::vector<const std::vector<Symbol> *> &chunks,
     const std::vector<Symbol> &pattern, bool &checked,
     std::uint64_t &mismatches, telem::StageClock &clock)
@@ -48,10 +58,12 @@ BatchMatchService::runPass(
     checked = cfg.crossCheckEvery != 0 &&
               pass % cfg.crossCheckEvery == 0;
     std::vector<core::StreamCarry> before;
-    if (checked)
-        before = carries;
+    if (checked && carries != nullptr)
+        before = *carries;
 
-    auto bits = engine.feedChunks(carries, chunks, pattern);
+    auto bits = carries != nullptr
+                    ? engine.feedChunks(*carries, chunks, pattern)
+                    : engine.matchMany(chunks, pattern);
     kernelPassesCtr.add();
     clock.mark(telem::Stage::Kernel);
     SPM_THIST(batchWidthHist,
@@ -63,15 +75,19 @@ BatchMatchService::runPass(
         core::ReferenceMatcher ref;
         const std::size_t k = pattern.size();
         for (std::size_t i = 0; i < chunks.size(); ++i) {
-            std::vector<Symbol> window = before[i].tail;
+            std::vector<Symbol> window;
+            std::uint64_t seen = 0;
+            if (carries != nullptr) {
+                window = before[i].tail;
+                seen = before[i].seen;
+            }
+            const std::size_t skip = window.size();
             window.insert(window.end(), chunks[i]->begin(),
                           chunks[i]->end());
             const std::vector<bool> expect = ref.match(window, pattern);
-            const std::size_t skip = before[i].tail.size();
             bool bad = false;
             for (std::size_t c = 0; c < chunks[i]->size(); ++c) {
-                const bool want = before[i].seen + c + 1 >= k &&
-                                  expect[skip + c];
+                const bool want = seen + c + 1 >= k && expect[skip + c];
                 if (bits[i][c] != want) {
                     bad = true;
                     break;
@@ -102,8 +118,7 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     clock.start();
 
     // Validate independently; collect the admissible requests.
-    std::vector<std::size_t> admitted;
-    admitted.reserve(batch.size());
+    admitted.clear();
     for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].id = batch[i].id;
         if (admitted.size() >= cfg.maxBatchStreams) {
@@ -126,55 +141,60 @@ BatchMatchService::serveBatch(const std::vector<MatchRequest> &batch)
     streamsCtr.add(admitted.size());
     clock.mark(telem::Stage::Admit);
 
-    // One kernel pass per distinct pattern among the admitted
-    // requests; requests sharing a pattern pack into the same pass.
-    std::vector<bool> served(batch.size(), false);
-    std::uint64_t totalMismatches = 0;
-    for (std::size_t a = 0; a < admitted.size(); ++a) {
-        const std::size_t lead = admitted[a];
-        if (served[lead])
-            continue;
-        const std::vector<Symbol> &pattern = batch[lead].pattern;
-        std::vector<std::size_t> members;
-        std::vector<const std::vector<Symbol> *> texts;
-        for (std::size_t b = a; b < admitted.size(); ++b) {
-            const std::size_t idx = admitted[b];
-            if (!served[idx] && batch[idx].pattern == pattern) {
-                served[idx] = true;
-                members.push_back(idx);
-                texts.push_back(&batch[idx].text);
-            }
+    // Group the admitted requests by pattern in one hashed pass. Groups
+    // keep first-appearance order, which is the pass order; requests
+    // sharing a pattern pack into the same pass. The map's keys point
+    // into a call's batch, so every call starts from an empty map.
+    groupOf.clear();
+    std::size_t nGroups = 0;
+    for (const std::size_t idx : admitted) {
+        const auto [it, fresh] =
+            groupOf.try_emplace(&batch[idx].pattern, nGroups);
+        if (fresh) {
+            if (nGroups == groups.size())
+                groups.emplace_back();
+            groups[nGroups].members.clear();
+            groups[nGroups].texts.clear();
+            ++nGroups;
         }
+        PatternGroup &group = groups[it->second];
+        group.members.push_back(idx);
+        group.texts.push_back(&batch[idx].text);
+    }
 
-        std::vector<core::StreamCarry> carries(texts.size());
+    std::uint64_t totalMismatches = 0;
+    for (std::size_t g = 0; g < nGroups; ++g) {
+        const PatternGroup &group = groups[g];
+        const std::vector<Symbol> &pattern =
+            batch[group.members.front()].pattern;
         bool checked = false;
         std::uint64_t mismatches = 0;
-        auto bits =
-            runPass(carries, texts, pattern, checked, mismatches, clock);
+        auto bits = runPass(nullptr, group.texts, pattern, checked,
+                            mismatches, clock);
         totalMismatches += mismatches;
 
-        const std::string backend =
-            "batch+" + engine.kernel().name();
-        for (std::size_t m = 0; m < members.size(); ++m) {
-            const std::size_t idx = members[m];
+        std::size_t passChars = 0;
+        for (std::size_t m = 0; m < group.members.size(); ++m) {
+            const std::size_t idx = group.members[m];
             MatchResponse &resp = out[idx];
             const std::size_t n = batch[idx].text.size();
             cfg.base.bus.transferChunk(batch[idx].text.data(),
                                        batch[idx].text.data(), n);
             resp.result = std::move(bits[m]);
-            resp.backend = backend;
+            resp.backend = backendName;
             resp.chunks = 1;
             // The steady-rate contract: one text character per beat.
             resp.beats = static_cast<Beat>(n);
             resp.busSeconds = cfg.base.bus.secondsForBeats(resp.beats);
-            streamCharsCtr.add(n);
-            clock.addBeats(resp.beats);
+            passChars += n;
             if (checked && mismatches != 0)
                 resp.error = ServiceError::make(
                     ErrorCode::BackendFailed,
                     "sampled cross-check caught a kernel mismatch in "
                     "this pass");
         }
+        streamCharsCtr.add(passChars);
+        clock.addBeats(static_cast<Beat>(passChars));
         clock.mark(telem::Stage::Commit);
     }
     if (!admitted.empty()) {
@@ -260,7 +280,7 @@ BatchMatchService::feedGroup(BatchStreamGroup &group,
 
     bool checked = false;
     std::uint64_t mismatches = 0;
-    res.bits = runPass(group.carries, ptrs, group.pattern, checked,
+    res.bits = runPass(&group.carries, ptrs, group.pattern, checked,
                        mismatches, clock);
     if (checked && mismatches != 0)
         res.error = ServiceError::make(

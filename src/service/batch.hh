@@ -23,6 +23,8 @@
 #define SPM_SERVICE_BATCH_HH
 
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/batch.hh"
@@ -142,15 +144,50 @@ class BatchMatchService
     telem::ExemplarReservoir &exemplars() { return exemplarStore; }
 
   private:
-    /** One kernel pass + charging + sampled cross-check. */
+    /**
+     * One kernel pass + sampled cross-check. With @p carries the
+     * chunks continue carried streams (feedChunks); without, each is
+     * a whole stream (matchMany) and no carry is built.
+     */
     std::vector<std::vector<bool>> runPass(
-        std::vector<core::StreamCarry> &carries,
+        std::vector<core::StreamCarry> *carries,
         const std::vector<const std::vector<Symbol> *> &chunks,
         const std::vector<Symbol> &pattern, bool &checked,
         std::uint64_t &mismatches, telem::StageClock &clock);
 
+    /** Hash of a pattern's symbols, for grouping requests by pattern. */
+    struct PatternHash
+    {
+        std::size_t operator()(const std::vector<Symbol> *p) const;
+    };
+    struct PatternEq
+    {
+        bool operator()(const std::vector<Symbol> *a,
+                        const std::vector<Symbol> *b) const
+        {
+            return *a == *b;
+        }
+    };
+
+    /** Admitted requests of one serveBatch call sharing a pattern. */
+    struct PatternGroup
+    {
+        std::vector<std::size_t> members;
+        std::vector<const std::vector<Symbol> *> texts;
+    };
+
     BatchServiceConfig cfg;
     core::BatchMatcher engine;
+    /** Every response's backend: "batch+" and the kernel's name. */
+    std::string backendName;
+
+    // --- serveBatch scratch (reused across calls) ----------------------
+    std::vector<std::size_t> admitted;
+    /** Groups in first-appearance order; a call reuses a prefix. */
+    std::vector<PatternGroup> groups;
+    std::unordered_map<const std::vector<Symbol> *, std::size_t,
+                       PatternHash, PatternEq>
+        groupOf;
 
     telem::Registry metrics{1};
     telem::Counter &batchesCtr;

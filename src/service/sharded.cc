@@ -457,6 +457,17 @@ ShardedMatchService::serve(const MatchRequest &req)
     const std::size_t overlap = k > 0 ? k - 1 : 0;
     lastErrors.clear();
 
+    // Each shard validates only its own piece, so the whole request's
+    // length limit is checked here, before any slice is planned. The
+    // empty text makes this validateText's length rule alone: O(1).
+    if (auto err = validateText(cfg.base, {}, n)) {
+        nLastShards = 0;
+        MatchResponse out;
+        out.id = req.id;
+        out.error = *err;
+        return out;
+    }
+
     telem::StageClock clock;
     clock.start();
     if (clock.running() && req.enqueuedNs != 0)

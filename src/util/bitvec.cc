@@ -32,6 +32,8 @@ unpackResultBits(const std::uint64_t *packed, std::size_t from,
         std::uint64_t word = packed[w];
         if (w == w0)
             word &= ~std::uint64_t(0) << (from % 64);
+        if (w + 1 == nw)
+            word &= lowMask(n - w * 64);
         while (word != 0) {
             const auto i = static_cast<std::size_t>(std::countr_zero(word));
             out[w * 64 + i - from] = true;

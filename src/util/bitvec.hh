@@ -35,12 +35,15 @@ packedWords(std::size_t n)
 }
 
 /**
- * Expand positions [@p from, @p n) of the packed result stream of an
- * @p n-character text (packedWords(n) words at @p packed, slack bits
- * clear) into the Matcher-interface bit vector @p out, resized to
- * n - from entries: out[c] is position from + c. Sparse: the vector is
- * zero-filled, then only the set bits, found with count-trailing-zeros,
- * are written, so the cost is O(words + matches), not O(n). Returns the
+ * Expand positions [@p from, @p n) of a packed result stream (bit i of
+ * word w is position 64 w + i; packedWords(n) words at @p packed) into
+ * the Matcher-interface bit vector @p out, resized to n - from entries:
+ * out[c] is position from + c. Bits below @p from in its word and bits
+ * at or past @p n in the last word are ignored, so the range may be
+ * one stream's segment in the middle of a longer packed text (the
+ * batch matcher's concatenation). Sparse: the vector is zero-filled,
+ * then only the set bits, found with count-trailing-zeros, are
+ * written, so the cost is O(words + matches), not O(n). Returns the
  * number of set bits written.
  */
 std::uint64_t unpackResultBits(const std::uint64_t *packed,

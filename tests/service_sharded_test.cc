@@ -197,6 +197,35 @@ TEST(ShardedService, ValidationAndErrorsMatchUnsharded)
     EXPECT_NE(resp.error.detail.find("shard"), std::string::npos);
 }
 
+TEST(ShardedService, OversizedRequestIsRejectedWhole)
+{
+    // Every slice of this request fits the limit; the request does not.
+    ShardedConfig cfg = smallShardConfig(4, 2);
+    cfg.base.maxTextLen = 1000;
+    ShardedMatchService sharded(cfg);
+    MatchService plain(cfg.base);
+
+    MatchRequest req;
+    req.id = 3000;
+    req.pattern = {1, 2};
+    req.text.assign(3000, 1);
+    const MatchResponse resp = sharded.serve(req);
+    EXPECT_EQ(resp.id, req.id);
+    EXPECT_EQ(resp.error.code, ErrorCode::OversizedRequest);
+    EXPECT_EQ(resp.error.code, sharded.validate(req)->code);
+    EXPECT_EQ(resp.error.code, plain.serve(req).error.code);
+    EXPECT_TRUE(resp.result.empty());
+    EXPECT_EQ(sharded.lastShards(), 0u);
+
+    // At the limit it is served, over several shards.
+    req.text.resize(1000);
+    const MatchResponse at_limit = sharded.serve(req);
+    ASSERT_TRUE(at_limit.ok()) << at_limit.error.detail;
+    EXPECT_GE(sharded.lastShards(), 2u);
+    EXPECT_EQ(at_limit.result,
+              core::ReferenceMatcher().match(req.text, req.pattern));
+}
+
 TEST(ShardedService, PerShardJournalsAndCheckpointsAreKept)
 {
     ShardedMatchService sharded(smallShardConfig(4, 2));

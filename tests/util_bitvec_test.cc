@@ -195,6 +195,43 @@ TEST(BitVec, UnpackFromAnyStartWritesExactlyTheHits)
     }
 }
 
+TEST(BitVec, UnpackIgnoresBitsPastTheEnd)
+{
+    // A stream's segment of a longer packed text, as the batch matcher
+    // extracts it: set bits past n in the last word belong to the next
+    // stream and must not leak into the result.
+    Rng rng(0xE4D);
+    for (const double p : {0.0, 0.3, 1.0}) {
+        const std::vector<bool> model = randomBits(rng, 300, p);
+        const BitVec v = BitVec::pack(model);
+        for (const std::size_t from : {0u, 5u, 64u, 130u})
+            for (const std::size_t n : {from, from + 1, std::size_t(64),
+                                        std::size_t(127), std::size_t(191),
+                                        std::size_t(299)}) {
+                if (n < from)
+                    continue;
+                std::vector<bool> seg;
+                const std::uint64_t hits =
+                    unpackResultBits(v.data(), from, n, seg);
+                const std::vector<bool> want(model.begin() + from,
+                                             model.begin() + n);
+                EXPECT_EQ(seg, want) << "p=" << p << " from=" << from
+                                     << " n=" << n;
+                std::uint64_t want_hits = 0;
+                for (bool b : want)
+                    want_hits += b ? 1 : 0;
+                EXPECT_EQ(hits, want_hits);
+            }
+    }
+    // All ones past the end: nothing of it shows.
+    const std::uint64_t ones[2] = {~std::uint64_t(0), ~std::uint64_t(0)};
+    std::vector<bool> out;
+    EXPECT_EQ(unpackResultBits(ones, 60, 70, out), 10u);
+    EXPECT_EQ(out, std::vector<bool>(10, true));
+    EXPECT_EQ(unpackResultBits(ones, 0, 3, out), 3u);
+    EXPECT_EQ(out, std::vector<bool>(3, true));
+}
+
 TEST(BitVec, AssignWordsClearsTheSlack)
 {
     const std::uint64_t raw[2] = {~std::uint64_t(0), ~std::uint64_t(0)};
